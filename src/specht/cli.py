@@ -2,8 +2,8 @@
 
 Exit codes: 0 success; 1 verification found an in-regime mismatch under the
 p > k, n > 4k hypothesis; 2 invalid input; 3 an internal limit was hit
-(size cap, search ceiling, unstabilized chain). Identical invocations
-produce byte-identical output.
+(size cap, search ceiling). Identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import sys
 from typing import Sequence
 
 from .decomposition import (
-    CongruencePolynomial,
     GrothendieckVector,
     decompose_irreducible,
     decompose_standard,
@@ -40,10 +39,6 @@ from .verify import run_verification
 
 _DEFAULT_VERIFY_MU = ("[]", "[1]", "[2]", "[1,1]", "[3]", "[2,1]", "[1,1,1]")
 _DEFAULT_VERIFY_P = (5, 7, 11)
-
-
-def _env_size_cap() -> int:
-    return int(os.environ.get("SPECHT_SIZE_CAP", DEFAULT_SIZE_CAP))
 
 
 def _family_label(mu: Partition) -> str:
@@ -121,17 +116,9 @@ def cmd_decompose_std(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_table(mu: Partition, table: CongruencePolynomial) -> str:
-    lines = [f"dim D{_family_label(mu)} for n == m (mod p), n large:"]
-    for m, poly in sorted(table.cases.items()):
-        lines.append(f"  m == {m}: {poly}")
-    lines.append(f"  otherwise: {table.default}")
-    return "\n".join(lines)
-
-
 def cmd_dim_table(args: argparse.Namespace) -> int:
     mu = parse_partition(args.tail)
-    table = irreducible_dimension_table(mu, args.max_residue)
+    table = irreducible_dimension_table(mu)
     if args.json:
         obj = {
             "tail": list(mu),
@@ -143,7 +130,9 @@ def cmd_dim_table(args: argparse.Namespace) -> int:
         }
         print(json.dumps(obj))
     else:
-        print(_render_table(mu, table))
+        print(f"dim D{_family_label(mu)} for n == m (mod p), n large:")
+        for line in table.render().splitlines():
+            print("  " + line)
     return 0
 
 
@@ -227,12 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("dim-table", cmd_dim_table, "residue-split irreducible dimension table")
     p.add_argument("tail", help="tail partition, e.g. [2]")
-    p.add_argument(
-        "--max-residue",
-        type=int,
-        default=None,
-        help="largest residue tabulated (default 2*(|tail|+1))",
-    )
 
     p = add("gram-rank", cmd_gram_rank, "rank of the Gram matrix over F_p")
     p.add_argument("partition", help="partition, e.g. [5,2]")
@@ -240,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--size-cap",
         type=int,
-        default=_env_size_cap(),
+        default=os.environ.get("SPECHT_SIZE_CAP", DEFAULT_SIZE_CAP),
         help="largest |partition| accepted (env SPECHT_SIZE_CAP)",
     )
     p.add_argument("--dump", metavar="FILE", help="also write the mod-p matrix dump")
@@ -262,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--size-cap",
         type=int,
-        default=_env_size_cap(),
+        default=os.environ.get("SPECHT_SIZE_CAP", DEFAULT_SIZE_CAP),
         help="largest |partition| accepted (env SPECHT_SIZE_CAP)",
     )
 
@@ -286,14 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    from .decomposition import FamilyIncomplete, NotStabilized  # noqa: F401
     from .gram import TooLarge
     from .parameters import SearchExhausted
 
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TooLarge, SearchExhausted, NotStabilized) as exc:
+    except (TooLarge, SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

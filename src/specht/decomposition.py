@@ -25,6 +25,7 @@ from .partitions import (
     Dominance,
     Partition,
     addable_rim_hooks,
+    conjugate,
     dominance_compare,
     format_partition,
     partition,
@@ -35,7 +36,6 @@ __all__ = [
     "SizeError",
     "NotTotallyOrdered",
     "FamilyIncomplete",
-    "NotStabilized",
     "SPECHT",
     "IRREDUCIBLE",
     "RimHookChain",
@@ -59,10 +59,6 @@ class NotTotallyOrdered(ValueError):
 
 class FamilyIncomplete(ValueError):
     """A chain member escapes the supplied family."""
-
-
-class NotStabilized(RuntimeError):
-    """Chain shapes failed to agree between the two sampling points."""
 
 
 SPECHT = "S"
@@ -274,23 +270,31 @@ def decompose_standard(
     )
 
 
-_STABILIZATION_GAP = 7
-
-
 def _chain_tails(mu: Partition, m: int, n: int) -> tuple[Partition, ...]:
     chain = rim_hook_chain(pad_partition(mu, n), m)
     return tuple(el[1:] for el in chain.elements)
 
 
+def _stable_n(mu: Partition, m: int) -> int:
+    """An n from which on the chain tails of (n - |mu|, mu) at residue m do
+    not depend on n.
+
+    Every element above lam = (n - |mu|, mu) dominates it, so it reads
+    (n - |tau|, tau) with |tau| <= |mu|.  Once n >= 2|mu| each such shape is a
+    partition, and dominance between two of them compares partial sums that
+    do not involve n.  Once n >= |mu| + m + 1 the hook length n - m exceeds
+    every hook below row 1 (at most mu_1 + mu'_1 - 1 <= |mu|), so only
+    first-row rim hooks are removed; the remainder's first row is mu_1 - 1
+    or the cut-short row of lam, and whether re-adding a hook of size n - m
+    yields (n - |tau|, tau) is then a condition on tau alone.
+    """
+    k = sum(mu)
+    return max(2 * k, padding_threshold(mu), k + m + 1)
+
+
 @cache
 def _dimension_formula(mu: Partition, m: int) -> RationalPolynomial:
-    n0 = max(4 * sum(mu), padding_threshold(mu)) + m + 2
-    tails = _chain_tails(mu, m, n0)
-    if tails != _chain_tails(mu, m, n0 + _STABILIZATION_GAP):
-        raise NotStabilized(
-            f"chain tails for tail {format_partition(mu)}, m={m} changed "
-            f"between n={n0} and n={n0 + _STABILIZATION_GAP}"
-        )
+    tails = _chain_tails(mu, m, _stable_n(mu, m))
     d = len(tails) - 1
     poly = RationalPolynomial()
     for i, tail in enumerate(tails):
@@ -303,8 +307,8 @@ def irreducible_dimension_formula(mu: Partition, m: int) -> RationalPolynomial:
     """Polynomial in n for the irreducible dimension at padded shape (n - |mu|, mu)
     when n is congruent to m modulo the (large) characteristic.
 
-    The chain is sampled at two well-separated values of n and the element
-    tails must agree (NotStabilized otherwise); the polynomial is then the
+    The chain is built once, at n = max(2|mu|, |mu| + mu_1, |mu| + m + 1),
+    past which its element tails do not depend on n; the polynomial is the
     alternating sum of the padded Specht dimension polynomials of the tails.
     """
     mu = partition(mu)
@@ -335,28 +339,26 @@ class CongruencePolynomial:
         return "\n".join(lines)
 
 
-def irreducible_dimension_table(
-    mu: Partition, max_residue: Union[int, None] = None
-) -> CongruencePolynomial:
-    """Tabulate irreducible_dimension_formula over residues 0..max_residue,
-    folding residues that match the generic Specht polynomial into the default.
+def irreducible_dimension_table(mu: Partition) -> CongruencePolynomial:
+    """Tabulate irreducible_dimension_formula over the residues that can
+    degenerate, folding those that match the generic Specht polynomial into
+    the default.
 
-    One residue past the range is sampled as well; if it still degenerates the
-    declared range was too small and NotStabilized is raised.
+    For n large the chain at residue m grows past the base only when n - m is
+    the hook length of a first-row cell (1, j) with j <= mu_1 of
+    (n - |mu|, mu), i.e. for m in
+    R(mu) = { |mu| + j - 1 - mu'_j : 1 <= j <= mu_1 } (mu' the conjugate).
+    Hooks below row 1 are too short, and removing a hook at j > mu_1 only
+    cuts the first row short, which re-adding can only restore.  Every other
+    residue gets the default.
     """
     mu = partition(mu)
-    if max_residue is None:
-        max_residue = 2 * (sum(mu) + 1)
-    if max_residue < 0:
-        raise ValueError("max_residue must be nonnegative")
+    k = sum(mu)
     default = specht_dimension_polynomial(mu)
     cases: dict[int, RationalPolynomial] = {}
-    for m in range(max_residue + 1):
+    for j, col in enumerate(conjugate(mu), 1):
+        m = k + j - 1 - col
         poly = irreducible_dimension_formula(mu, m)
         if poly != default:
             cases[m] = poly
-    if irreducible_dimension_formula(mu, max_residue + 1) != default:
-        raise NotStabilized(
-            f"residue {max_residue + 1} still degenerates; raise max_residue"
-        )
     return CongruencePolynomial(cases=cases, default=default)

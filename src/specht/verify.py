@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .decomposition import (
-    NotStabilized,
     NotTotallyOrdered,
     SizeError,
     irreducible_dimension_formula,
@@ -178,7 +177,7 @@ def _build_record(
             rec.formula_dim = int(value)
         else:
             _add_error(rec, "formula", ValueError(f"non-integral value {value}"))
-    except (NotStabilized, NotTotallyOrdered, SizeError) as exc:
+    except (NotTotallyOrdered, SizeError) as exc:
         _add_error(rec, "formula", exc)
     try:
         rec.oracle_dim = gram_rank_mod_p(lam, p, size_cap)

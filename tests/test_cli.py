@@ -189,6 +189,50 @@ def test_gram_rank_honors_size_cap_flag():
     assert out == "gram rank of [16,1] mod 5 = 16\n"
 
 
+def test_size_cap_env_sets_the_default(monkeypatch):
+    monkeypatch.setenv("SPECHT_SIZE_CAP", "17")
+    code, out, _ = run_cli("gram-rank", "[16,1]", "5")
+    assert code == 0
+    assert out == "gram rank of [16,1] mod 5 = 16\n"
+
+
+@pytest.mark.parametrize("argv", [("gram-rank", "[2]", "5"), ("verify", "--n-max", "3")])
+def test_bad_size_cap_env_is_a_usage_error(monkeypatch, argv):
+    monkeypatch.setenv("SPECHT_SIZE_CAP", "abc")
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "--size-cap: invalid int value: 'abc'" in err.getvalue()
+
+
+def test_bad_size_cap_env_leaves_other_commands_alone(monkeypatch):
+    monkeypatch.setenv("SPECHT_SIZE_CAP", "abc")
+    assert run_cli("dim-specht", "[2]") == (0, "dim S[2] = 1\n", "")
+
+
+# ---------------------------------------------------------------------------
+# residue tables
+
+
+def test_dim_table_prints_every_degenerate_row():
+    code, out, _ = run_cli("dim-table", "[3,3,3]")
+    assert code == 0
+    labels = [line.split(":")[0] for line in out.splitlines()[1:]]
+    assert labels == ["  m == 6", "  m == 7", "  m == 8", "  otherwise"]
+
+
+def test_max_residue_option_is_rejected():
+    proc = subprocess.run(
+        [sys.executable, "-m", "specht", "dim-table", "[3,3,3]", "--max-residue", "1"],
+        capture_output=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"unrecognized arguments: --max-residue 1" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # dump file and determinism
 

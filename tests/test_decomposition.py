@@ -11,18 +11,22 @@ from specht import (
     FamilyIncomplete,
     GrothendieckVector,
     SizeError,
+    conjugate,
     decompose_irreducible,
     decompose_standard,
     dominance_compare,
+    format_partition,
     irreducible_dimension_formula,
     irreducible_dimension_table,
     pad_partition,
     padding_threshold,
+    partitions_of,
     rim_hook_chain,
     specht_dimension,
     specht_dimension_polynomial,
     tail_bounded_partitions,
 )
+from specht.decomposition import _chain_tails, _stable_n
 
 
 def S(*parts):
@@ -252,8 +256,6 @@ def test_dimension_formula_trivial_cases():
 
 def test_dimension_formula_positivity():
     for size in range(0, 4):
-        from specht import partitions_of
-
         for mu in partitions_of(size):
             for m in range(0, 5):
                 poly = irreducible_dimension_formula(mu, m)
@@ -308,11 +310,40 @@ def test_polynomial_for_falls_back_to_default():
 
 
 def test_residues_beyond_the_scan_window_are_generic():
-    # degenerate residues only occur for m <= |mu| + mu_1 - 2, well inside
-    # the default scan; spot-check far beyond it
+    # degenerate residues lie in R(mu), here {1, 2}; spot-check far beyond it
     table = irreducible_dimension_table((2,))
     for m in (9, 23):
         assert str(irreducible_dimension_formula((2,), m)) == str(table.default)
+
+
+def first_row_hook_residues(mu):
+    """R(mu) = { |mu| + j - 1 - mu'_j : 1 <= j <= mu_1 }."""
+    k = sum(mu)
+    return {k + j - 1 - col for j, col in enumerate(conjugate(mu), 1)}
+
+
+TAILS_UP_TO_8 = [mu for k in range(9) for mu in partitions_of(k)]
+
+
+@pytest.mark.parametrize("mu", TAILS_UP_TO_8, ids=format_partition)
+def test_table_cases_are_the_first_row_hook_residues(mu):
+    table = irreducible_dimension_table(mu)
+    residues = first_row_hook_residues(mu)
+    assert set(table.cases) == residues
+    for m in range(2 * sum(mu) + 4):
+        if m not in residues:
+            assert irreducible_dimension_formula(mu, m) == table.default, m
+
+
+@pytest.mark.parametrize(
+    "mu", [mu for mu in TAILS_UP_TO_8 if sum(mu) <= 7], ids=format_partition
+)
+def test_chain_tails_do_not_move_past_the_stable_bound(mu):
+    for m in range(2 * sum(mu) + 4):
+        n = _stable_n(mu, m)
+        tails = _chain_tails(mu, m, n)
+        assert _chain_tails(mu, m, n + 1) == tails, m
+        assert _chain_tails(mu, m, n + 7) == tails, m
 
 
 def test_render_table():
