@@ -2,8 +2,8 @@
 
 Exit codes: 0 success; 1 verification found an in-regime mismatch under the
 p > k, n > 4k hypothesis; 2 invalid input; 3 an internal limit was hit
-(size cap, search ceiling). Identical invocations produce byte-identical
-output.
+(size cap, search ceiling) or an internal self-check failed. Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -181,6 +181,16 @@ def cmd_prime_seq(args: argparse.Namespace) -> int:
     return 0
 
 
+def _size_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specht",
@@ -222,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=int, help="prime characteristic")
     p.add_argument(
         "--size-cap",
-        type=int,
+        type=_size_cap,
         default=os.environ.get("SPECHT_SIZE_CAP", DEFAULT_SIZE_CAP),
         help="largest |partition| accepted (env SPECHT_SIZE_CAP)",
     )
@@ -244,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument(
         "--size-cap",
-        type=int,
+        type=_size_cap,
         default=os.environ.get("SPECHT_SIZE_CAP", DEFAULT_SIZE_CAP),
         help="largest |partition| accepted (env SPECHT_SIZE_CAP)",
     )
@@ -269,13 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    from .gram import TooLarge
-    from .parameters import SearchExhausted
-
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TooLarge, SearchExhausted) as exc:
+    except RuntimeError as exc:
+        # TooLarge, SearchExhausted, and the self-checks that raise
+        # RuntimeError (dimension polynomial verification, Pollard rho).
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -3,22 +3,28 @@
 Polytabloids span the Specht module inside the tabloid permutation module;
 with tabloids orthonormal, the Gram matrix of the standard polytabloid basis
 is an exact integer matrix, and its rank over F_p equals the dimension of
-the irreducible head of the Specht module for p-regular shapes. Entries are
-computed with exact big integers and reduced mod p only inside the
-elimination kernel, so one matrix serves every prime.
+the irreducible head of the Specht module for p-regular shapes.
+
+The matrix is G = E E^T, with E the signed incidence matrix of standard
+polytabloids against the tabloids they reach, built once per shape from
+the column stabilizer as arrays.  The product is a scatter-add of +/-1
+over pairs of entries sharing a tabloid, exact in int32 because every
+entry and partial sum is at most the column group order |C_t| <= 10**7.
+One matrix serves every prime: it is reduced mod p only inside the
+elimination kernel, a blocked elimination in float64 (panels of _PANEL
+columns, one BLAS Schur update each) that is exact while
+(columns + _PANEL) * p**2 < 2**53, with an int64 kernel for larger p.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import permutations, product
 from math import factorial, prod
 from typing import Sequence
 
 import numpy as np
 
-from .dimensions import specht_dimension
-from .partitions import Partition, partition
+from .partitions import Partition, conjugate, format_partition, partition
 from .primes import NotPrime, is_prime
 
 __all__ = [
@@ -39,21 +45,31 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 16
-_STREAM_THRESHOLD = 2000
 _MAX_COLUMN_GROUP = 10_000_000
+# Largest tabloid key kept in int64; beyond it keys are raw row labels.
+_MAX_INT_KEY = (1 << 63) - 1
+# Most incidence entries assembled at a time (about 45 bytes each).
+_MAX_ENTRIES = 1 << 24
+# Entry pairs scatter-added at a time in Gram assembly.
+_PAIRS = 1 << 18
+# Columns per elimination panel.
+_PANEL = 128
 
 StandardTableau = tuple[tuple[int, ...], ...]
 Tabloid = tuple[tuple[int, ...], ...]
 
 
 class TooLarge(RuntimeError):
-    """Shape exceeds the size cap, or its column group is impractically large."""
+    """Shape exceeds the size cap, or its column group or incidence matrix is
+    impractically large."""
 
 
 def _check_cap(lam: Partition, size_cap: int) -> Partition:
     lam = partition(lam)
     if sum(lam) > size_cap:
-        raise TooLarge(f"|{lam}| = {sum(lam)} exceeds the size cap {size_cap}")
+        raise TooLarge(
+            f"|{format_partition(lam)}| = {sum(lam)} exceeds the size cap {size_cap}"
+        )
     return lam
 
 
@@ -106,20 +122,48 @@ def tabloid_of(tableau: StandardTableau) -> Tabloid:
     return tuple(tuple(sorted(row)) for row in tableau)
 
 
-def _signed_perms(column: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """Every rearrangement of the column with the sign of the permutation."""
-    index = {v: i for i, v in enumerate(column)}
-    out = []
-    for arr in permutations(column):
-        ranks = [index[v] for v in arr]
-        inversions = sum(
-            1
-            for a in range(len(ranks))
-            for b in range(a + 1, len(ranks))
-            if ranks[a] > ranks[b]
+@cache
+def _signed_perms(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation of range(k) as a row, and the sign of each."""
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    signs = np.ones(1, dtype=np.int64)
+    for m in range(k):
+        # Inserting m at position j, ahead of the m - j smaller values after
+        # it, adds m - j inversions.
+        perms = np.concatenate([np.insert(perms, j, m, axis=1) for j in range(m + 1)])
+        signs = np.concatenate([signs * (-1) ** (m - j) for j in range(m + 1)])
+    return perms, signs
+
+
+@lru_cache(maxsize=12)
+def _column_group(
+    shape: tuple[int, ...],
+) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+    """Column stabilizer of a tableau of the given row lengths, on cells.
+
+    Returns the cells (row, col) read column by column, then one row per
+    group element giving the row each cell's entry moves to, then the signs.
+    Distinct group elements send a tableau to distinct tabloids.  A column
+    has at most 10 cells (11! > _MAX_COLUMN_GROUP), so rows fit in uint8.
+    """
+    width = max(shape, default=0)
+    columns = [[r for r, length in enumerate(shape) if length > c] for c in range(width)]
+    order = prod(factorial(len(col)) for col in columns)
+    if order > _MAX_COLUMN_GROUP:
+        raise TooLarge(f"column stabilizer of shape has {order} elements")
+    targets = np.zeros((1, 0), dtype=np.uint8)
+    signs = np.ones(1, dtype=np.int64)
+    for col in columns:
+        perms, perm_signs = _signed_perms(len(col))
+        targets = np.hstack(
+            [
+                np.repeat(targets, len(perms), axis=0),
+                np.tile(np.asarray(col, dtype=np.uint8)[perms], (len(targets), 1)),
+            ]
         )
-        out.append((arr, -1 if inversions % 2 else 1))
-    return out
+        signs = np.outer(signs, perm_signs).ravel()
+    cells = tuple((r, c) for c, col in enumerate(columns) for r in col)
+    return cells, targets, signs
 
 
 def polytabloid(tableau: StandardTableau) -> dict[Tabloid, int]:
@@ -129,65 +173,181 @@ def polytabloid(tableau: StandardTableau) -> dict[Tabloid, int]:
     exactly one +/-1 entry per group element.
     """
     tableau = tuple(tuple(row) for row in tableau)
-    n_rows = len(tableau)
-    width = len(tableau[0]) if tableau else 0
-    cols = [
-        tuple(tableau[r][c] for r in range(n_rows) if len(tableau[r]) > c)
-        for c in range(width)
-    ]
-    order = prod(factorial(len(c)) for c in cols)
-    if order > _MAX_COLUMN_GROUP:
-        raise TooLarge(f"column stabilizer of shape has {order} elements")
+    cells, targets, signs = _column_group(tuple(map(len, tableau)))
+    entries = [tableau[r][c] for r, c in cells]
     out: dict[Tabloid, int] = {}
-    for combo in product(*(_signed_perms(col) for col in cols)):
-        sign = 1
-        rows: list[list[int]] = [[] for _ in range(n_rows)]
-        for arr, s in combo:
-            sign *= s
-            for r, value in enumerate(arr):
-                rows[r].append(value)
+    for rows_of, sign in zip(targets.tolist(), signs.tolist()):
+        rows: list[list[int]] = [[] for _ in tableau]
+        for value, r in zip(entries, rows_of):
+            rows[r].append(value)
         out[tuple(tuple(sorted(r)) for r in rows)] = sign
     return out
 
 
-def _pairing(a: dict[Tabloid, int], b: dict[Tabloid, int]) -> int:
-    if len(a) > len(b):
-        a, b = b, a
-    return sum(coeff * b.get(key, 0) for key, coeff in a.items())
-
-
 @lru_cache(maxsize=12)
-def _gram_matrix_cached(lam: Partition) -> tuple[tuple[int, ...], ...]:
-    polys = [polytabloid(t) for t in _standard_tableaux(lam)]
-    d = len(polys)
-    mat = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            v = _pairing(polys[i], polys[j])
-            mat[i][j] = v
-            mat[j][i] = v
-    return tuple(tuple(r) for r in mat)
+def _gram_matrix_cached(lam: Partition) -> np.ndarray:
+    """Read-only int32 Gram matrix G = E E^T of the standard polytabloids.
+
+    E is the signed incidence matrix: row i holds polytabloid i, one +/-1
+    per tabloid it reaches.  Each tabloid is keyed by the row each entry
+    1..n lies in, read as a base-l number (l rows).  G_ij sums s_i s_j over
+    the tabloids both reach, so the product is a scatter-add over pairs of
+    entries sharing a tabloid (_add_pairs).  It is exact in int32: a partial
+    sum counts at most |C_t| <= _MAX_COLUMN_GROUP < 2**31 terms of +/-1.
+
+    Past _MAX_ENTRIES entries, E is assembled in l classes of tabloids:
+    entry 1 sits in cell (0, 0) of every standard tableau, so the row a
+    group element moves that cell to is the lowest digit of every key it
+    gives, and each class takes the |C_t| / l group elements with one such
+    row.  A class of more than _MAX_ENTRIES entries raises TooLarge.
+    """
+    tableaux = _standard_tableaux(lam)
+    d, rows = len(tableaux), len(lam)
+    group_order = prod(factorial(c) for c in conjugate(lam))
+    classes = rows if d * group_order > _MAX_ENTRIES else 1
+    if d * group_order // classes > _MAX_ENTRIES:
+        raise TooLarge(
+            f"incidence matrix of {format_partition(lam)} has "
+            f"{d} * {group_order} entries in {classes} classes, "
+            f"more than {_MAX_ENTRIES} per class"
+        )
+    cells, targets, signs = _column_group(lam)
+    n = len(cells)
+    # where[i, k]: the zero-based entry of tableau i in cell k
+    where = np.array([[t[r][c] - 1 for r, c in cells] for t in tableaux], dtype=np.intp)
+    where = where.reshape(d, n)
+    powers = rows ** where.astype(np.int64) if rows**n <= _MAX_INT_KEY else None
+    gram = np.zeros(d * d, dtype=np.int32)
+    for row in range(classes):
+        part = targets[:, 0] == row if classes > 1 else slice(None)
+        moved = targets[part]
+        if powers is not None:
+            # key = sum over cells of row(cell's entry) * rows**entry
+            keys = np.zeros((len(moved), d), dtype=np.int64)
+            for k in range(n):
+                keys += np.multiply.outer(moved[:, k], powers[:, k])
+        else:
+            # labels[g, i, v]: the row entry v + 1 of tableau i lands in under g
+            labels = moved[:, np.argsort(where, axis=1)]
+            keys = np.ascontiguousarray(labels).view(np.dtype((np.void, n)))[..., 0]
+        _add_pairs(gram, keys, signs[part])
+    gram = gram.reshape(d, d)
+    gram.flags.writeable = False
+    return gram
+
+
+def _add_pairs(gram: np.ndarray, keys: np.ndarray, signs: np.ndarray) -> None:
+    """Add s_e s_f to gram[i_e * d + i_f] for every pair of entries e, f with
+    equal keys; keys[g, i] is the tabloid of group element g on tableau i."""
+    d = keys.shape[1]
+    # Entries at index g * d + i, sorted so that equal keys are adjacent.
+    order = np.argsort(keys, axis=None)
+    keys = keys.ravel()[order]
+    new_tabloid = np.r_[True, keys[1:] != keys[:-1]]
+    del keys  # large shapes: free before the scatter
+    starts = np.flatnonzero(new_tabloid)
+    column = np.cumsum(new_tabloid) - 1
+    # Entry e pairs with each of the m_e entries of its tabloid; its pairs
+    # are numbered ends[e] - m_e .. ends[e] - 1, and the partner in pair q
+    # is entry shift[e] + q.
+    ends = np.cumsum(np.diff(np.r_[starts, len(order)])[column])
+    shift = starts[column] - np.r_[0, ends[:-1]]
+    del column
+    cuts = np.searchsorted(ends, np.arange(_PAIRS, ends[-1], _PAIRS))
+    bounds = sorted({0, *cuts.tolist(), len(ends)})
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        first = ends[lo - 1] if lo else 0
+        left = np.repeat(np.arange(lo, hi), np.diff(np.r_[first, ends[lo:hi]]))
+        right = order[shift[left] + np.arange(first, ends[hi - 1])]
+        left = order[left]
+        sign = signs[left // d] * signs[right // d]
+        np.add.at(gram, left % d * d + right % d, sign.astype(np.int32))
 
 
 def gram_matrix(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> list[list[int]]:
     """Exact integer Gram matrix of the polytabloid basis (tabloids orthonormal)."""
     lam = _check_cap(lam, size_cap)
-    return [list(row) for row in _gram_matrix_cached(lam)]
+    return _gram_matrix_cached(lam).tolist()
 
 
 def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over F_p by Gaussian elimination with first-nonzero pivoting.
+    """Rank over F_p.
 
-    All arithmetic is exact in int64: entries stay below p, so products stay
-    below p**2 (p must fit in 31 bits).
+    Blocked elimination in float64 when (columns + _PANEL) * p**2 < 2**53,
+    where every value stays an integer below 2**53 and so is exact (see
+    _blocked_rank).  Larger primes (below 2**31) use column-by-column
+    elimination in int64, exact because products of residues stay below
+    p**2 < 2**62.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p >= 1 << 31:
         raise ValueError(f"p={p} too large for the elimination kernel")
-    a = np.asarray(rows, dtype=np.int64) % p
+    a = np.asarray(rows)
     if a.ndim != 2 or a.size == 0:
         return 0
+    if (a.shape[1] + _PANEL) * p * p < 1 << 53:
+        return _blocked_rank(np.mod(a, p).astype(np.float64), p)
+    return _column_rank(np.mod(a, p).astype(np.int64), p)
+
+
+def _blocked_rank(a: np.ndarray, p: int) -> int:
+    """Right-looking blocked rank of an integer matrix held as floats.
+
+    Each panel of _PANEL columns is reduced column by column, mod p,
+    against the pivots found so far in it (left-looking), taking the first
+    nonzero residue as pivot.  With L the multipliers and L_pp their rows
+    at the pivots (unit lower triangular), the other rows' trailing block
+    gets one Schur update A -= (L L_pp^-1 mod p) (A[pivots] mod p), and the
+    pivot rows are dropped.  The trailing block itself is never reduced
+    (delayed reduction).  Exactness: each update subtracts at most
+    _PANEL (p-1)**2 from an entry, and an entry in column c gets
+    c // _PANEL updates, so entries stay below columns * p**2 in size, and
+    a panel column minus its dot product with earlier pivots stays below
+    (columns + _PANEL) * p**2, the bound modular_rank checks against 2**53.
+    """
+    rank = 0
+    while a.shape[0] and a.shape[1]:
+        panel = np.asfortranarray(a[:, :_PANEL])
+        m, b = panel.shape
+        lower = np.zeros((m, b), order="F")
+        upper = np.zeros((b, b))
+        pivots: list[int] = []
+        for j in range(b):
+            k = len(pivots)
+            col = np.mod(panel[:, j] - lower[:, :k] @ upper[:k, j], p)
+            nonzero = col.nonzero()[0]
+            if nonzero.size == 0:
+                continue
+            i = int(nonzero[0])
+            upper[k, j:] = np.mod(panel[i, j:] - lower[i, :k] @ upper[:k, j:], p)
+            lower[:, k] = np.mod(col * pow(int(col[i]), p - 2, p), p)
+            pivots.append(i)
+            if k + 1 == m:
+                break
+        r = len(pivots)
+        rank += r
+        if r == m or b == a.shape[1]:
+            return rank
+        l_pp = lower[pivots, :r]
+        inverse = np.eye(r)
+        for t in range(1, r):
+            inverse[t] = np.mod(inverse[t] - l_pp[t, :t] @ inverse[:t], p)
+        rest = np.delete(np.arange(m), pivots)
+        w = np.mod(lower[rest, :r] @ inverse, p)
+        x = np.mod(a[pivots, b:], p)
+        a = a[:, b:]
+        # Compact the surviving rows upward in place, one block at a time:
+        # rest[j] >= j, so no block reads a row an earlier block wrote.
+        for lo in range(0, len(rest), _PANEL):
+            hi = min(lo + _PANEL, len(rest))
+            a[lo:hi] = a[rest[lo:hi]] - w[lo:hi] @ x
+        a = a[: len(rest)]
+    return rank
+
+
+def _column_rank(a: np.ndarray, p: int) -> int:
+    """Rank by Gaussian elimination with first-nonzero pivoting, in int64."""
     nrows, ncols = a.shape
     rank = 0
     for col in range(ncols):
@@ -249,24 +409,26 @@ def gram_rank_mod_p(lam: Partition, p: int, size_cap: int = DEFAULT_SIZE_CAP) ->
     lam = _check_cap(lam, size_cap)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if lam and specht_dimension(lam) > _STREAM_THRESHOLD:
-        # Too big to keep the exact integer matrix around: reduce row by row.
-        polys = [polytabloid(t) for t in _standard_tableaux(lam)]
-        d = len(polys)
-        a = np.zeros((d, d), dtype=np.int64)
-        for i in range(d):
-            for j in range(i, d):
-                v = _pairing(polys[i], polys[j]) % p
-                a[i, j] = v
-                a[j, i] = v
-        return modular_rank(a, p)
     return modular_rank(_gram_matrix_cached(lam), p)
 
 
 def gram_rank_rational(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> int:
-    """Rank of the Gram matrix over the rationals (characteristic zero)."""
+    """Rank of the Gram matrix over the rationals (characteristic zero).
+
+    Certified by one rank mod p, at the least prime p > n: a minor that is
+    nonzero mod p is nonzero over Z, so rank_Q >= rank_Fp, and rank_Q <= d,
+    the number of rows.  So rank_Fp = d proves rank_Q = d.  F_p S_n is
+    semisimple for p > n, so the form is nondegenerate and the certificate
+    always holds; fraction-free elimination remains as the fallback.
+    """
     lam = _check_cap(lam, size_cap)
-    return integer_rank(_gram_matrix_cached(lam))
+    gram = _gram_matrix_cached(lam)
+    p = sum(lam) + 1
+    while not is_prime(p):
+        p += 1
+    if modular_rank(gram, p) == len(gram):
+        return len(gram)
+    return integer_rank(gram)
 
 
 def irreducible_dim_hook_family_check(n: int, p: int) -> tuple[int, int]:

@@ -175,6 +175,33 @@ def test_composite_modulus_is_exit_2():
 def test_size_cap_is_exit_3():
     code, _, err = run_cli("gram-rank", "[9,8]", "5")
     assert code == 3
+    assert err == "error: |[9,8]| = 17 exceeds the size cap 16\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_size_cap_below_one_is_a_usage_error(cap):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        main(["gram-rank", "[3]", "2", "--size-cap", cap])
+    assert exc.value.code == 2
+    assert f"--size-cap: must be at least 1, got {cap}" in err.getvalue()
+
+
+def _fail_self_check(*args):
+    raise RuntimeError("self-check failed")
+
+
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("specht.dimensions._dimension_polynomial", ("dim-poly", "[2]")),
+        # 65537 * 65539: no prime factor below 2**16, so factoring needs rho.
+        ("specht.primes._pollard_rho", ("prime-seq", "4295229442,1", "1")),
+    ],
+)
+def test_failed_self_check_is_exit_3(monkeypatch, target, argv):
+    monkeypatch.setattr(target, _fail_self_check)
+    assert run_cli(*argv) == (3, "", "error: self-check failed\n")
 
 
 def test_search_limit_is_exit_3():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from specht import (
     NotPrime,
     TooLarge,
     format_gram_dump,
+    format_partition,
     gram_matrix,
     gram_rank_mod_p,
     gram_rank_rational,
@@ -104,6 +106,41 @@ def test_gram_matrices_are_symmetric_with_positive_diagonal(n):
                 assert g[i][j] == g[j][i]
 
 
+@pytest.mark.parametrize(
+    "lam",
+    [lam for n in range(8) for lam in partitions_of(n)] + [(5, 3), (4, 2, 2), (3, 3, 1, 1)],
+    ids=format_partition,
+)
+def test_gram_matrix_is_the_polytabloid_pairing(lam):
+    polys = [polytabloid(t) for t in standard_tableaux(lam)]
+    expected = [
+        [sum(v * f.get(tabloid, 0) for tabloid, v in e.items()) for f in polys]
+        for e in polys
+    ]
+    g = gram_matrix(lam)
+    assert g == expected
+    assert all(type(x) is int for row in g for x in row)
+
+
+@pytest.mark.parametrize("lam", [(2, 1), (3, 2, 1), (2, 2, 1, 1), (4, 1, 1, 1)])
+@pytest.mark.parametrize("variant", ["label keys", "tabloid classes"])
+def test_assembly_variants_give_the_same_gram_matrix(monkeypatch, lam, variant):
+    """Shapes with rows**n past int64 key tabloids by their raw row labels;
+    incidence matrices past _MAX_ENTRIES are assembled one class at a time."""
+    expected = gram_matrix(lam)
+    if variant == "label keys":
+        monkeypatch.setattr(gram_mod, "_MAX_INT_KEY", 0)
+    else:
+        tableaux = standard_tableaux(lam)
+        entries = len(tableaux) * len(polytabloid(tableaux[0]))
+        monkeypatch.setattr(gram_mod, "_MAX_ENTRIES", entries // len(lam))
+    gram_mod._gram_matrix_cached.cache_clear()
+    try:
+        assert gram_matrix(lam) == expected
+    finally:
+        gram_mod._gram_matrix_cached.cache_clear()
+
+
 def test_polytabloid_diagonal_norm_is_column_group_order():
     """<e_T, e_T> = |column stabilizer|: distinct signed terms, all +-1."""
     import math
@@ -135,6 +172,59 @@ def test_modular_rank_basics():
 def test_modular_rank_rejects_huge_primes():
     with pytest.raises(ValueError):
         modular_rank([[1]], 2**31 + 11)
+
+
+def _matrix_of_rank(rng, m, n, r, p, zero_columns=0):
+    """B C mod p for B (m x r) with r identity rows and C (r x n) in echelon
+    form with nonzero pivots spread over the columns, so the rank is r."""
+    pivots = np.sort(rng.choice(n, r, replace=False))
+    free = np.setdiff1d(np.arange(n), pivots)
+    zero = rng.choice(free, min(zero_columns, len(free)), replace=False)
+    c = rng.integers(0, p, (r, n))
+    c[np.arange(n) < pivots[:, None]] = 0
+    c[np.arange(r), pivots] = rng.integers(1, p, r)
+    c[:, zero] = 0
+    b = rng.integers(0, p, (m, r))
+    b[rng.choice(m, r, replace=False)] = np.eye(r, dtype=np.int64)
+    if r * (p - 1) ** 2 < 2**63:
+        return b @ c % p
+    a = np.zeros((m, n), dtype=np.int64)
+    for t in range(r):
+        a = (a + np.outer(b[:, t], c[t]) % p) % p
+    return a
+
+
+KERNEL_PRIMES = [2, 3, 5, 7, 11, 13, 65521, 2**31 - 1]
+
+
+def _sizes(b):
+    square = [(s, s) for s in (b - 1, b, b + 1, 2 * b + 1)]
+    return square + [(b - 1, 2 * b + 1), (2 * b + 1, b + 1), (b, 1), (1, b + 1)]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_modular_rank_matches_textbook_elimination(monkeypatch, p):
+    """Sizes on both sides of a narrow panel width, so the oracle stays cheap."""
+    b = 8
+    monkeypatch.setattr(gram_mod, "_PANEL", b)
+    rng = np.random.default_rng(p)
+    for m, n in _sizes(b):
+        full = min(m, n)
+        for r in sorted({0, 1, full // 2, full - 1, full}):
+            for zero_columns in (0, 3):
+                a = _matrix_of_rank(rng, m, n, r, p, zero_columns)
+                assert modular_rank(a, p) == r == oracles.rank_mod_p(a.tolist(), p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_modular_rank_at_the_panel_width(p):
+    b = gram_mod._PANEL
+    rng = np.random.default_rng(p)
+    for m, n in _sizes(b):
+        for r in (0, min(m, n) * 2 // 3, min(m, n)):
+            a = _matrix_of_rank(rng, m, n, r, p, zero_columns=5)
+            assert modular_rank(a, p) == r
+    assert modular_rank(np.zeros((b + 1, 2 * b + 1), dtype=np.int64), p) == 0
 
 
 def test_integer_rank_basics():
@@ -205,10 +295,10 @@ def test_rank_never_exceeds_dimension(n):
             assert gram_rank_mod_p(lam, p) <= specht_dimension(lam)
 
 
-def test_streaming_and_cached_paths_agree(monkeypatch):
-    direct = gram_rank_mod_p((4, 2), 3)
-    monkeypatch.setattr(gram_mod, "_STREAM_THRESHOLD", 1)
-    assert gram_rank_mod_p((4, 2), 3) == direct
+def test_rational_rank_falls_back_to_exact_elimination(monkeypatch):
+    # A failed certificate (rank mod p below d) must not be trusted.
+    monkeypatch.setattr(gram_mod, "modular_rank", lambda rows, p: 0)
+    assert gram_rank_rational((3, 2)) == 5
 
 
 def test_gram_rank_size_cap():
@@ -217,6 +307,9 @@ def test_gram_rank_size_cap():
     with pytest.raises(TooLarge):
         # 20 single-box columns: the column group alone is 20! >> the limit
         gram_rank_mod_p(tuple([1] * 20), 3, size_cap=25)
+    with pytest.raises(TooLarge, match="incidence matrix of"):
+        # 54 tableaux times a column group of 10! * 2 elements
+        gram_rank_mod_p((2, 2) + (1,) * 8, 3)
 
 
 # ---------------------------------------------------------------------------
