@@ -9,7 +9,8 @@ The matrix is G = E E^T, with E the signed incidence matrix of standard
 polytabloids against the tabloids they reach, built once per shape from
 the column stabilizer as arrays.  The product is a scatter-add of +/-1
 over pairs of entries sharing a tabloid, exact in int32 because every
-entry and partial sum is at most the column group order |C_t| <= 10**7.
+entry and partial sum is at most the column group order |C_t| <= 10**7,
+taken in batches of whole tabloid classes so that memory stays bounded.
 One matrix serves every prime: it is reduced mod p only inside the
 elimination kernel, a blocked elimination in float64 (panels of _PANEL
 columns, one BLAS Schur update each) that is exact while
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .partitions import Partition, conjugate, format_partition, partition
+from .partitions import Partition, format_partition, partition
 from .primes import NotPrime, is_prime
 
 __all__ = [
@@ -46,10 +47,9 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 16
 _MAX_COLUMN_GROUP = 10_000_000
-# Largest tabloid key kept in int64; beyond it keys are raw row labels.
-_MAX_INT_KEY = (1 << 63) - 1
-# Most incidence entries assembled at a time (about 45 bytes each).
-_MAX_ENTRIES = 1 << 24
+# Most incidence entries paired at a time in Gram assembly (a batch takes
+# about 130 bytes per entry).
+_MAX_ENTRIES = 1 << 20
 # Entry pairs scatter-added at a time in Gram assembly.
 _PAIRS = 1 << 18
 # Columns per elimination panel.
@@ -60,8 +60,7 @@ Tabloid = tuple[tuple[int, ...], ...]
 
 
 class TooLarge(RuntimeError):
-    """Shape exceeds the size cap, or its column group or incidence matrix is
-    impractically large."""
+    """Shape exceeds the size cap, or its column group is impractically large."""
 
 
 def _check_cap(lam: Partition, size_cap: int) -> Partition:
@@ -126,7 +125,7 @@ def tabloid_of(tableau: StandardTableau) -> Tabloid:
 def _signed_perms(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every permutation of range(k) as a row, and the sign of each."""
     perms = np.zeros((1, 0), dtype=np.uint8)
-    signs = np.ones(1, dtype=np.int64)
+    signs = np.ones(1, dtype=np.int8)
     for m in range(k):
         # Inserting m at position j, ahead of the m - j smaller values after
         # it, adds m - j inversions.
@@ -152,7 +151,7 @@ def _column_group(
     if order > _MAX_COLUMN_GROUP:
         raise TooLarge(f"column stabilizer of shape has {order} elements")
     targets = np.zeros((1, 0), dtype=np.uint8)
-    signs = np.ones(1, dtype=np.int64)
+    signs = np.ones(1, dtype=np.int8)
     for col in columns:
         perms, perm_signs = _signed_perms(len(col))
         targets = np.hstack(
@@ -189,62 +188,82 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
     """Read-only int32 Gram matrix G = E E^T of the standard polytabloids.
 
     E is the signed incidence matrix: row i holds polytabloid i, one +/-1
-    per tabloid it reaches.  Each tabloid is keyed by the row each entry
-    1..n lies in, read as a base-l number (l rows).  G_ij sums s_i s_j over
-    the tabloids both reach, so the product is a scatter-add over pairs of
-    entries sharing a tabloid (_add_pairs).  It is exact in int32: a partial
-    sum counts at most |C_t| <= _MAX_COLUMN_GROUP < 2**31 terms of +/-1.
+    per tabloid it reaches.  An entry (g, i) of E, group element g acting
+    on tableau i, is keyed by its tabloid: the row each entry 1..n lands
+    in, as n bytes.  G_ij sums s_i s_j over the tabloids both reach, so the
+    product is a scatter-add over pairs of entries sharing a tabloid
+    (_add_pairs).  It is exact in int32: a partial sum counts at most
+    |C_t| <= _MAX_COLUMN_GROUP < 2**31 terms of +/-1.
 
-    Past _MAX_ENTRIES entries, E is assembled in l classes of tabloids:
-    entry 1 sits in cell (0, 0) of every standard tableau, so the row a
-    group element moves that cell to is the lowest digit of every key it
-    gives, and each class takes the |C_t| / l group elements with one such
-    row.  A class of more than _MAX_ENTRIES entries raises TooLarge.
+    Entries are paired in batches of at most _MAX_ENTRIES.  The class of a
+    tabloid is the rows it puts the entries 1..m in; tabloids of different
+    classes never pair, so a batch is a run of whole classes.  Tableaux that
+    put 1..m in the same cells form a group, and on them the class of
+    (g, i) depends on g alone.  m is the least number of entries for which
+    no class holds more than _MAX_ENTRIES entries: m = 0 is one class, and
+    at m = n a class is one tabloid, reached at most d times.
     """
     tableaux = _standard_tableaux(lam)
     d, rows = len(tableaux), len(lam)
-    group_order = prod(factorial(c) for c in conjugate(lam))
-    classes = rows if d * group_order > _MAX_ENTRIES else 1
-    if d * group_order // classes > _MAX_ENTRIES:
-        raise TooLarge(
-            f"incidence matrix of {format_partition(lam)} has "
-            f"{d} * {group_order} entries in {classes} classes, "
-            f"more than {_MAX_ENTRIES} per class"
-        )
     cells, targets, signs = _column_group(lam)
     n = len(cells)
-    # where[i, k]: the zero-based entry of tableau i in cell k
-    where = np.array([[t[r][c] - 1 for r, c in cells] for t in tableaux], dtype=np.intp)
-    where = where.reshape(d, n)
-    powers = rows ** where.astype(np.int64) if rows**n <= _MAX_INT_KEY else None
-    gram = np.zeros(d * d, dtype=np.int32)
-    for row in range(classes):
-        part = targets[:, 0] == row if classes > 1 else slice(None)
-        moved = targets[part]
-        if powers is not None:
-            # key = sum over cells of row(cell's entry) * rows**entry
-            keys = np.zeros((len(moved), d), dtype=np.int64)
-            for k in range(n):
-                keys += np.multiply.outer(moved[:, k], powers[:, k])
-        else:
+    gram = np.zeros((d, d), dtype=np.int32)
+    if n == 0:  # the empty shape: one tableau, one tabloid
+        gram[0, 0] = 1
+        gram.flags.writeable = False
+        return gram
+    # cell_of[i, v]: the index in cells of the cell holding entry v + 1 of tableau i
+    where = [[t[r][c] - 1 for r, c in cells] for t in tableaux]
+    cell_of = np.argsort(np.array(where, dtype=np.intp).reshape(d, n), axis=1)
+    for m in range(n + 1):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, prefix in enumerate(cell_of[:, :m].tolist()):
+            groups.setdefault(tuple(prefix), []).append(i)
+        # targets[:, list(prefix)] @ powers: the class of each group element
+        # on the tableaux of a group, as a base-rows number
+        powers = rows ** np.arange(m)
+        counts = [
+            np.bincount(targets[:, list(prefix)] @ powers, minlength=rows**m)
+            for prefix in groups
+        ]
+        sizes = sum(c * len(members) for c, members in zip(counts, groups.values()))
+        if sizes.max() <= _MAX_ENTRIES:
+            break
+    parts = []  # per group: its tableaux, its group elements by class, class starts
+    for (prefix, members), count in zip(groups.items(), counts):
+        by_class = np.argsort(targets[:, list(prefix)] @ powers, kind="stable")
+        parts.append((members, by_class.astype(np.int32), np.r_[0, np.cumsum(count)]))
+    bounds, batch = [0], 0
+    for c, size in enumerate(sizes.tolist()):
+        if batch and batch + size > _MAX_ENTRIES:
+            bounds.append(c)
+            batch = 0
+        batch += size
+    bounds.append(len(sizes))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        labels, tableau, sign = [], [], []
+        for members, order, starts in parts:
+            g = order[starts[lo] : starts[hi]]
             # labels[g, i, v]: the row entry v + 1 of tableau i lands in under g
-            labels = moved[:, np.argsort(where, axis=1)]
-            keys = np.ascontiguousarray(labels).view(np.dtype((np.void, n)))[..., 0]
-        _add_pairs(gram, keys, signs[part])
-    gram = gram.reshape(d, d)
+            labels.append(targets[g][:, cell_of[members]].reshape(-1, n))
+            tableau.append(np.tile(members, len(g)))
+            sign.append(np.repeat(signs[g], len(members)))
+        _add_pairs(gram, *map(np.concatenate, (labels, tableau, sign)))
     gram.flags.writeable = False
     return gram
 
 
-def _add_pairs(gram: np.ndarray, keys: np.ndarray, signs: np.ndarray) -> None:
-    """Add s_e s_f to gram[i_e * d + i_f] for every pair of entries e, f with
-    equal keys; keys[g, i] is the tabloid of group element g on tableau i."""
-    d = keys.shape[1]
-    # Entries at index g * d + i, sorted so that equal keys are adjacent.
-    order = np.argsort(keys, axis=None)
-    keys = keys.ravel()[order]
+def _add_pairs(
+    gram: np.ndarray, labels: np.ndarray, tableau: np.ndarray, sign: np.ndarray
+) -> None:
+    """Add s_e s_f to gram[i_e, i_f] for every pair of entries e, f with equal
+    rows of labels; entry e has tableau i_e = tableau[e], sign s_e = sign[e]."""
+    # Entries sorted so that equal tabloids are adjacent (lexsort on uint8
+    # keys is a radix sort), then compared as raw bytes.
+    order = np.lexsort(labels.T)
+    keys = labels[order].view(np.dtype((np.void, labels.shape[1]))).ravel()
     new_tabloid = np.r_[True, keys[1:] != keys[:-1]]
-    del keys  # large shapes: free before the scatter
+    del keys  # large batches: free before the scatter
     starts = np.flatnonzero(new_tabloid)
     column = np.cumsum(new_tabloid) - 1
     # Entry e pairs with each of the m_e entries of its tabloid; its pairs
@@ -255,13 +274,14 @@ def _add_pairs(gram: np.ndarray, keys: np.ndarray, signs: np.ndarray) -> None:
     del column
     cuts = np.searchsorted(ends, np.arange(_PAIRS, ends[-1], _PAIRS))
     bounds = sorted({0, *cuts.tolist(), len(ends)})
+    flat = gram.reshape(-1)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         first = ends[lo - 1] if lo else 0
         left = np.repeat(np.arange(lo, hi), np.diff(np.r_[first, ends[lo:hi]]))
         right = order[shift[left] + np.arange(first, ends[hi - 1])]
         left = order[left]
-        sign = signs[left // d] * signs[right // d]
-        np.add.at(gram, left % d * d + right % d, sign.astype(np.int32))
+        pair_sign = (sign[left] * sign[right]).astype(np.int32)
+        np.add.at(flat, tableau[left] * len(gram) + tableau[right], pair_sign)
 
 
 def gram_matrix(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> list[list[int]]:
@@ -286,9 +306,11 @@ def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     a = np.asarray(rows)
     if a.ndim != 2 or a.size == 0:
         return 0
+    # Reduce in the narrowest type that holds both the entries and p.
+    a = np.mod(a, p, dtype=np.promote_types(a.dtype, np.min_scalar_type(p)))
     if (a.shape[1] + _PANEL) * p * p < 1 << 53:
-        return _blocked_rank(np.mod(a, p).astype(np.float64), p)
-    return _column_rank(np.mod(a, p).astype(np.int64), p)
+        return _blocked_rank(a.astype(np.float64), p)
+    return _column_rank(a.astype(np.int64), p)
 
 
 def _blocked_rank(a: np.ndarray, p: int) -> int:

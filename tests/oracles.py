@@ -2,7 +2,8 @@
 
 Everything here enumerates and filters with no cleverness: partitions are
 generated recursively, border strips are recognized by examining cell sets,
-tableaux come from filtering permutations, ranks come from textbook row
+tableaux come from filtering permutations, polytabloids from every
+product of column permutations, ranks come from textbook row
 reduction (Fractions over Q, max-residue pivoting over F_p — a different
 pivot rule than the library uses on purpose), and prime divisors come from
 plain trial division.  Slow is fine; independent is the point.
@@ -11,7 +12,7 @@ plain trial division.  Slow is fine; independent is the point.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,31 @@ def standard_fillings(lam):
         if ok:
             found.append(tuple(rows))
     return found
+
+
+# ---------------------------------------------------------------------------
+# polytabloids by enumerating the column group
+
+
+def polytabloid(tableau):
+    """{tabloid: sign} over every product of permutations of the columns'
+    entries; a tabloid is its rows as sorted tuples."""
+    width = max(map(len, tableau), default=0)
+    columns = [[row[c] for row in tableau if len(row) > c] for c in range(width)]
+    out = {}
+    for perms in product(*(permutations(col) for col in columns)):
+        sign = 1
+        for perm in perms:
+            inversions = sum(
+                1 for a in range(len(perm)) for b in range(a) if perm[b] > perm[a]
+            )
+            sign *= (-1) ** inversions
+        rows = [[] for _ in tableau]
+        for perm in perms:
+            for r, value in enumerate(perm):
+                rows[r].append(value)
+        out[tuple(tuple(sorted(r)) for r in rows)] = sign
+    return out
 
 
 # ---------------------------------------------------------------------------
