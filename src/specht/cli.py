@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success; 1 verification found an in-regime mismatch under the
-p > k, n > 4k hypothesis; 2 invalid input; 3 an internal limit was hit
-(size cap, search ceiling) or an internal self-check failed. Identical
-invocations produce byte-identical output.
+p > k, n > 4k hypothesis; 2 invalid input, or a --dump file that cannot be
+written; 3 an internal limit was hit (size cap, search ceiling) or an
+internal self-check failed. Identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # RuntimeError (dimension polynomial verification, Pollard rho).
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,9 @@ One matrix serves every prime: it is reduced mod p only inside the
 elimination kernel, a blocked elimination in float64 (panels of _PANEL
 columns, one BLAS Schur update each) that is exact while
 (columns + _PANEL) * p**2 < 2**53, with an int64 kernel for larger p.
+
+numpy is imported inside the functions that build or reduce arrays, so
+importing this module does not load it; the first Gram or rank call does.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from math import factorial, prod
 from typing import Sequence
-
-import numpy as np
 
 from .partitions import Partition, format_partition, partition
 from .primes import NotPrime, is_prime
@@ -99,23 +100,6 @@ def _standard_tableaux(lam: Partition) -> tuple[StandardTableau, ...]:
     return tuple(out)
 
 
-def is_standard(tableau: StandardTableau) -> bool:
-    """Rows and columns strictly increasing, entries exactly 1..n."""
-    rows = [list(r) for r in tableau]
-    entries = sorted(x for r in rows for x in r)
-    if entries != list(range(1, len(entries) + 1)):
-        return False
-    if any(len(a) < len(b) for a, b in zip(rows, rows[1:])):
-        return False
-    for r in rows:
-        if any(a >= b for a, b in zip(r, r[1:])):
-            return False
-    for upper, lower in zip(rows, rows[1:]):
-        if any(upper[c] >= lower[c] for c in range(len(lower))):
-            return False
-    return True
-
-
 def tabloid_of(tableau: StandardTableau) -> Tabloid:
     """Row-equivalence class of a tableau in canonical form (rows sorted)."""
     return tuple(tuple(sorted(row)) for row in tableau)
@@ -124,6 +108,8 @@ def tabloid_of(tableau: StandardTableau) -> Tabloid:
 @cache
 def _signed_perms(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every permutation of range(k) as a row, and the sign of each."""
+    import numpy as np
+
     perms = np.zeros((1, 0), dtype=np.uint8)
     signs = np.ones(1, dtype=np.int8)
     for m in range(k):
@@ -145,6 +131,8 @@ def _column_group(
     Distinct group elements send a tableau to distinct tabloids.  A column
     has at most 10 cells (11! > _MAX_COLUMN_GROUP), so rows fit in uint8.
     """
+    import numpy as np
+
     width = max(shape, default=0)
     columns = [[r for r, length in enumerate(shape) if length > c] for c in range(width)]
     order = prod(factorial(len(col)) for col in columns)
@@ -203,6 +191,8 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
     no class holds more than _MAX_ENTRIES entries: m = 0 is one class, and
     at m = n a class is one tabloid, reached at most d times.
     """
+    import numpy as np
+
     tableaux = _standard_tableaux(lam)
     d, rows = len(tableaux), len(lam)
     cells, targets, signs = _column_group(lam)
@@ -258,6 +248,8 @@ def _add_pairs(
 ) -> None:
     """Add s_e s_f to gram[i_e, i_f] for every pair of entries e, f with equal
     rows of labels; entry e has tableau i_e = tableau[e], sign s_e = sign[e]."""
+    import numpy as np
+
     # Entries sorted so that equal tabloids are adjacent (lexsort on uint8
     # keys is a radix sort), then compared as raw bytes.
     order = np.lexsort(labels.T)
@@ -299,6 +291,8 @@ def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     elimination in int64, exact because products of residues stay below
     p**2 < 2**62.
     """
+    import numpy as np
+
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p >= 1 << 31:
@@ -328,6 +322,8 @@ def _blocked_rank(a: np.ndarray, p: int) -> int:
     a panel column minus its dot product with earlier pivots stays below
     (columns + _PANEL) * p**2, the bound modular_rank checks against 2**53.
     """
+    import numpy as np
+
     rank = 0
     while a.shape[0] and a.shape[1]:
         panel = np.asfortranarray(a[:, :_PANEL])
@@ -370,6 +366,8 @@ def _blocked_rank(a: np.ndarray, p: int) -> int:
 
 def _column_rank(a: np.ndarray, p: int) -> int:
     """Rank by Gaussian elimination with first-nonzero pivoting, in int64."""
+    import numpy as np
+
     nrows, ncols = a.shape
     rank = 0
     for col in range(ncols):

@@ -87,6 +87,8 @@ def prime_parameter_sequence(
     q = integer_polynomial(coeffs)
     if count < 1:
         raise ValueError("count must be positive")
+    if search_limit < 1:
+        raise ValueError("search limit must be positive")
     pairs: list[ParameterPair] = []
     last = p_min
     for t in range(1, search_limit + 1):

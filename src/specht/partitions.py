@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .primes import NotPrime, is_prime
@@ -70,11 +69,6 @@ def conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()
     return tuple(sum(1 for part in lam if part >= j) for j in range(1, lam[0] + 1))
-
-
-def diagram_cells(lam: Partition) -> list[Cell]:
-    """All cells of the Young diagram in row-major order."""
-    return [(i, j) for i, part in enumerate(lam, 1) for j in range(1, part + 1)]
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -193,58 +187,3 @@ def is_p_regular(lam: Partition, p: int) -> bool:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return all(c < p for c in Counter(partition(lam)).values())
-
-
-def is_edge_connected(cells: Iterable[Cell]) -> bool:
-    """True when the cells form one component under horizontal/vertical adjacency."""
-    todo = set(cells)
-    if not todo:
-        return False
-    stack = [next(iter(todo))]
-    todo.discard(stack[0])
-    while stack:
-        r, c = stack.pop()
-        for nbr in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if nbr in todo:
-                todo.discard(nbr)
-                stack.append(nbr)
-    return not todo
-
-
-def contains_2x2(cells: Iterable[Cell]) -> bool:
-    """True when some 2x2 block lies entirely inside the cells."""
-    cs = set(cells)
-    return any(
-        (r, c + 1) in cs and (r + 1, c) in cs and (r + 1, c + 1) in cs for r, c in cs
-    )
-
-
-@dataclass(frozen=True)
-class BorderStrip:
-    """An edge-connected skew strip with no 2x2 block.
-
-    ``anchor`` is the (min row, min col) over the cells: the cell whose hook
-    the strip removes when peeled from the enclosing partition.
-    """
-
-    cells: frozenset[Cell]
-    anchor: Cell
-
-    @property
-    def size(self) -> int:
-        return len(self.cells)
-
-    @classmethod
-    def between(cls, lam: Partition, mu: Partition) -> "BorderStrip":
-        """The skew strip lam/mu; raises ValueError when mu is not inside lam."""
-        lam, mu = partition(lam), partition(mu)
-        if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
-            raise ValueError(f"{mu} is not contained in {lam}")
-        cells = frozenset(diagram_cells(lam)) - frozenset(diagram_cells(mu))
-        if not cells:
-            raise ValueError("empty strip")
-        anchor = (min(r for r, _ in cells), min(c for _, c in cells))
-        return cls(cells, anchor)
-
-    def is_valid_strip(self) -> bool:
-        return is_edge_connected(self.cells) and not contains_2x2(self.cells)

@@ -11,6 +11,7 @@ plain trial division.  Slow is fine; independent is the point.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -33,6 +34,11 @@ def gen_partitions(n, max_part=None):
 
 def cell_set(lam):
     return {(i, j) for i, row in enumerate(lam) for j in range(row)}
+
+
+def diagram_cells(lam):
+    """All cells of the Young diagram, 1-based (row, col), in row-major order."""
+    return [(i, j) for i, part in enumerate(lam, 1) for j in range(1, part + 1)]
 
 
 def dominates(lam, mu):
@@ -75,6 +81,62 @@ def is_border_strip(outer, inner):
     return seen == skew
 
 
+def is_edge_connected(cells):
+    """True when the cells form one component under horizontal/vertical adjacency."""
+    todo = set(cells)
+    if not todo:
+        return False
+    stack = [next(iter(todo))]
+    todo.discard(stack[0])
+    while stack:
+        r, c = stack.pop()
+        for nbr in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if nbr in todo:
+                todo.discard(nbr)
+                stack.append(nbr)
+    return not todo
+
+
+def contains_2x2(cells):
+    """True when some 2x2 block lies entirely inside the cells."""
+    cs = set(cells)
+    return any(
+        (r, c + 1) in cs and (r + 1, c) in cs and (r + 1, c + 1) in cs for r, c in cs
+    )
+
+
+@dataclass(frozen=True)
+class BorderStrip:
+    """A skew shape lam/mu as a set of 1-based cells.
+
+    ``anchor`` is the (min row, min col) over the cells: the cell whose hook
+    the strip removes when peeled from the enclosing partition.
+    """
+
+    cells: frozenset
+    anchor: tuple
+
+    @property
+    def size(self):
+        return len(self.cells)
+
+    @classmethod
+    def between(cls, lam, mu):
+        """The skew shape lam/mu; raises ValueError when mu is not inside lam
+        or equals it."""
+        if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
+            raise ValueError(f"{mu} is not contained in {lam}")
+        cells = frozenset(diagram_cells(lam)) - frozenset(diagram_cells(mu))
+        if not cells:
+            raise ValueError("empty strip")
+        anchor = (min(r for r, _ in cells), min(c for _, c in cells))
+        return cls(cells, anchor)
+
+    def is_valid_strip(self):
+        """Edge-connected with no 2x2 block."""
+        return is_edge_connected(self.cells) and not contains_2x2(self.cells)
+
+
 def strip_removals(lam, h):
     """All mu with |mu| = |lam| - h and lam/mu a border strip."""
     return [mu for mu in gen_partitions(sum(lam) - h) if is_border_strip(lam, mu)]
@@ -108,6 +170,23 @@ def standard_fillings(lam):
         if ok:
             found.append(tuple(rows))
     return found
+
+
+def is_standard(tableau):
+    """Rows and columns strictly increasing, entries exactly 1..n."""
+    rows = [list(r) for r in tableau]
+    entries = sorted(x for r in rows for x in r)
+    if entries != list(range(1, len(entries) + 1)):
+        return False
+    if any(len(a) < len(b) for a, b in zip(rows, rows[1:])):
+        return False
+    for r in rows:
+        if any(a >= b for a, b in zip(r, r[1:])):
+            return False
+    for upper, lower in zip(rows, rows[1:]):
+        if any(upper[c] >= lower[c] for c in range(len(lower))):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -209,6 +211,12 @@ def test_search_limit_is_exit_3():
     assert code == 3
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_search_limit_below_one_is_exit_2(limit):
+    code, out, err = run_cli("prime-seq", "1,0,1", "5", "--search-limit", limit)
+    assert (code, out, err) == (2, "", "error: search limit must be positive\n")
+
+
 def test_gram_rank_honors_size_cap_flag():
     # (16,1) has 17 boxes (beyond the default cap) but dimension only 16
     code, out, _ = run_cli("gram-rank", "[16,1]", "5", "--size-cap", "17")
@@ -271,6 +279,16 @@ def test_gram_rank_dump(tmp_path):
     assert target.read_text().splitlines() == ["2 3", "2 1", "1 2"]
 
 
+def test_unwritable_dump_is_exit_2(tmp_path):
+    target = tmp_path / "missing" / "gram.txt"
+    code, out, err = run_cli("gram-rank", "[5,2]", "5", "--dump", str(target))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
 def test_cli_output_is_byte_deterministic():
     args = [
         sys.executable,
@@ -291,3 +309,48 @@ def test_cli_output_is_byte_deterministic():
     second = subprocess.run(args, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.strip() != b""
+
+
+# ---------------------------------------------------------------------------
+# numpy is loaded by the Gram oracle only
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import specht, specht.cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = specht.cli.main(argv)
+    seen.append([argv, code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+_FORMULA_CALLS = [
+    (["dim-specht", "[7,4,2]"], 0),
+    (["dim-poly", "[3,1]", "--json"], 0),
+    (["dim-table", "[2,2,1]"], 0),
+    (["a-set", "[6,2,1]", "4"], 0),
+    (["decompose-irr", "[7,2,1]", "5"], 0),
+    (["decompose-std", "[6,2,1]", "4", "3"], 0),
+    (["prime-seq", "1,0,1", "20"], 0),
+    (["dim-specht", "[2,x]"], 2),
+    (["gram-rank", "[20]", "5"], 3),  # over the size cap
+    (["gram-rank", "[2,1]", "6"], 2),  # composite modulus
+]
+
+
+def test_numpy_is_loaded_only_by_gram_work():
+    # In a fresh interpreter: tier-1 itself has numpy loaded already.
+    calls = [argv for argv, _ in _FORMULA_CALLS] + [["gram-rank", "[2,1]", "3"]]
+    src = pathlib.Path(sys.modules["specht"].__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
+        capture_output=True,
+        env=env,
+        check=True,
+    )
+    seen = json.loads(proc.stdout)
+    assert seen[:-1] == [[argv, code, False] for argv, code in _FORMULA_CALLS]
+    assert seen[-1] == [["gram-rank", "[2,1]", "3"], 0, True]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 import specht.gram as gram_mod
+from oracles import is_standard
 from specht import (
     NotPrime,
     TooLarge,
@@ -26,7 +27,6 @@ from specht import (
     standard_tableaux,
     tabloid_of,
 )
-from specht.gram import is_standard
 
 
 # ---------------------------------------------------------------------------

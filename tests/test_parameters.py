@@ -143,6 +143,9 @@ def test_sequence_validates_inputs():
         prime_parameter_sequence((5,), 2)  # constant polynomial
     with pytest.raises(ValueError):
         prime_parameter_sequence((1, 0, 1), 0)  # empty request
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="search limit must be positive"):
+            prime_parameter_sequence((1, 0, 1), 5, search_limit=limit)
 
 
 # ---------------------------------------------------------------------------

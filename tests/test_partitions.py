@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import nonempty_partitions, partitions
+from oracles import BorderStrip, contains_2x2, diagram_cells, is_edge_connected
 from specht import (
-    BorderStrip,
     Dominance,
     NotPrime,
     addable_rim_hooks,
@@ -22,7 +22,6 @@ from specht import (
     removable_rim_hooks,
     tail_bounded_partitions,
 )
-from specht.partitions import contains_2x2, diagram_cells, is_edge_connected
 
 
 # ---------------------------------------------------------------------------
