@@ -114,8 +114,11 @@ def _signed_perms(k: int) -> tuple[np.ndarray, np.ndarray]:
     signs = np.ones(1, dtype=np.int8)
     for m in range(k):
         # Inserting m at position j, ahead of the m - j smaller values after
-        # it, adds m - j inversions.
-        perms = np.concatenate([np.insert(perms, j, m, axis=1) for j in range(m + 1)])
+        # it, adds m - j inversions.  Block j of the new table holds those.
+        grown = np.empty((m + 1, len(perms), m + 1), dtype=np.uint8)
+        for j, block in enumerate(grown):
+            block[:, :j], block[:, j], block[:, j + 1 :] = perms[:, :j], m, perms[:, j:]
+        perms = grown.reshape(-1, m + 1)
         signs = np.concatenate([signs * (-1) ** (m - j) for j in range(m + 1)])
     return perms, signs
 
@@ -138,18 +141,24 @@ def _column_group(
     order = prod(factorial(len(col)) for col in columns)
     if order > _MAX_COLUMN_GROUP:
         raise TooLarge(f"column stabilizer of shape has {order} elements")
-    targets = np.zeros((1, 0), dtype=np.uint8)
-    signs = np.ones(1, dtype=np.int8)
+    cells = tuple((r, c) for c, col in enumerate(columns) for r in col)
+    # Group element g = (g_1, ..., g_w), one permutation per column, sits in
+    # row sum_j g_j * prod_{k > j} |col_k|! of targets, the first column
+    # varying slowest.  Each column's block is filled through a broadcast
+    # view (before, |col|!, after, cells), so targets is the only large array.
+    targets = np.empty((order, len(cells)), dtype=np.uint8)
+    signs = np.ones(order, dtype=np.int8)
+    before, start = 1, 0
     for col in columns:
         perms, perm_signs = _signed_perms(len(col))
-        targets = np.hstack(
-            [
-                np.repeat(targets, len(perms), axis=0),
-                np.tile(np.asarray(col, dtype=np.uint8)[perms], (len(targets), 1)),
-            ]
-        )
-        signs = np.outer(signs, perm_signs).ravel()
-    cells = tuple((r, c) for c, col in enumerate(columns) for r in col)
+        if col != list(range(len(col))):  # never, for a partition
+            perms = np.asarray(col, dtype=np.uint8)[perms]
+        after = order // (before * len(perms))
+        block = targets.reshape(before, len(perms), after, len(cells))
+        block[..., start : start + len(col)] = perms[:, None]
+        signs.reshape(before, len(perms), after)[...] *= perm_signs[:, None]
+        before *= len(perms)
+        start += len(col)
     return cells, targets, signs
 
 

@@ -81,8 +81,9 @@ def prime_parameter_sequence(
 
     Scans t upward, skipping nonpositive values; at each value it accepts the
     smallest prime factor beating every prime accepted so far, then rewinds t
-    to the least positive-value witness of that prime. SearchExhausted once
-    t passes ``search_limit``.
+    to the least positive-value witness of that prime among the values
+    already scanned. Only prime factors above the last accepted prime are
+    searched for. SearchExhausted once t passes ``search_limit``.
     """
     q = integer_polynomial(coeffs)
     if count < 1:
@@ -91,17 +92,17 @@ def prime_parameter_sequence(
         raise ValueError("search limit must be positive")
     pairs: list[ParameterPair] = []
     last = p_min
+    values: list[int] = []  # q(1), ..., q(t)
     for t in range(1, search_limit + 1):
         v = evaluate(q, t)
+        values.append(v)
         if v <= 1:
             continue
-        candidates = [p for p in prime_factors(v) if p > last]
+        candidates = prime_factors(v, above=last)
         if not candidates:
             continue
-        p = min(candidates)
-        witness = next(
-            s for s in range(1, t + 1) if evaluate(q, s) > 0 and evaluate(q, s) % p == 0
-        )
+        p = candidates[0]
+        witness = next(s for s, w in enumerate(values, 1) if w > 0 and w % p == 0)
         pairs.append(ParameterPair(witness, p))
         last = p
         if len(pairs) == count:

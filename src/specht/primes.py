@@ -2,9 +2,10 @@
 
 ``is_prime`` is a deterministic Miller-Rabin test for everything below
 3.3e24 (in particular for all 64-bit integers); beyond that bound the same
-fixed bases make it a very strong probable-prime test. Factorization is
-trial division over a sieved prime table with a Pollard rho fallback, so it
-stays deterministic as well.
+fixed bases make it a very strong probable-prime test. Factorization
+trial-divides by the primes below 2**8, then splits what is left with
+Miller-Rabin and Pollard rho (fixed seeds), so it stays deterministic as
+well.
 """
 
 from __future__ import annotations
@@ -50,46 +51,58 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Trial division stops here; rho splits the rest.  Values of a few 1e12
+# factor fastest with a table this short (times in CHANGES.md).
+_TRIAL_LIMIT = 1 << 8
+
+
 @cache
 def _small_primes() -> tuple[int, ...]:
-    limit = 1 << 16
-    sieve = bytearray([1]) * limit
+    sieve = bytearray([1]) * _TRIAL_LIMIT
     sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(limit) + 1):
+    for i in range(2, isqrt(_TRIAL_LIMIT) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i in range(limit) if sieve[i])
+    return tuple(i for i in range(_TRIAL_LIMIT) if sieve[i])
 
 
-def prime_factors(n: int) -> list[int]:
-    """Sorted distinct prime divisors of a positive integer (empty for 1)."""
+def prime_factors(n: int, above: int = 0) -> list[int]:
+    """Sorted distinct prime divisors of a positive integer n that are
+    greater than ``above`` (all of them by default; empty for 1)."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     found: set[int] = set()
-    _factor_into(n, found)
+    _factor_into(n, found, above)
     return sorted(found)
 
 
-def _factor_into(v: int, out: set[int]) -> None:
+def _factor_into(v: int, out: set[int], above: int) -> None:
+    """Add the prime divisors of v greater than ``above`` to ``out``.
+
+    A prime divisor of v is at most v, so a cofactor v <= above is left
+    unfactored.
+    """
     for p in _small_primes():
-        if p * p > v:
+        if p * p > v or v <= above:
             break
         if v % p == 0:
-            out.add(p)
+            if p > above:
+                out.add(p)
             while v % p == 0:
                 v //= p
-    if v == 1:
+    if v == 1 or v <= above:
         return
     if is_prime(v):
         out.add(v)
         return
     d = _pollard_rho(v)
-    _factor_into(d, out)
-    _factor_into(v // d, out)
+    _factor_into(d, out, above)
+    _factor_into(v // d, out, above)
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of an odd composite with no small prime factor."""
+    """A nontrivial factor of an odd composite with no prime factor below
+    2**8 (the trial-division table)."""
     if n % 2 == 0:
         return 2
     for c in range(1, 1000):

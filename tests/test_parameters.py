@@ -1,5 +1,9 @@
 """Prime parameter pairs (t, p) with p | q(t), and the divisor-prime census."""
 
+import json
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +18,7 @@ from specht import (
     parse_coefficients,
     prime_parameter_sequence,
 )
-from specht.primes import is_prime, prime_factors
+from specht.primes import _TRIAL_LIMIT, is_prime, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +92,45 @@ def test_prime_factors_examples():
     assert prime_factors(2**10) == [2]
 
 
+def _primes_between(lo, hi, k):
+    """The first k primes met walking from lo towards hi (either way)."""
+    step = 1 if hi > lo else -1
+    return [n for n in range(lo, hi, step) if oracles.trial_prime_factors(n) == {n}][:k]
+
+
+# The first primes above the trial-division table, the last primes below
+# 2**16 (the table's old bound), and the cases whose factors all escape it.
+_PAST_TABLE = _primes_between(_TRIAL_LIMIT, 2 * _TRIAL_LIMIT, 3)
+_BELOW_2_16 = _primes_between(2**16, 2**15, 3)
+_BOUNDARY_CASES = (
+    [p**2 for p in _PAST_TABLE + _BELOW_2_16]
+    + [p**3 for p in _PAST_TABLE + _BELOW_2_16]
+    + [p * q for p, q in combinations(_PAST_TABLE + _BELOW_2_16, 2)]
+    + [561, 41041, 825265]  # Carmichael numbers
+    + [65537 * 65539]
+)
+
+
+@pytest.mark.parametrize("n", _BOUNDARY_CASES)
+def test_prime_factors_at_the_table_boundary(n):
+    assert prime_factors(n) == sorted(oracles.trial_prime_factors(n))
+
+
+@given(st.integers(1, 10**12), st.data())
+@settings(max_examples=80)
+def test_prime_factors_above_keeps_the_larger_ones(n, data):
+    above = data.draw(st.integers(-2, n + 1))
+    assert prime_factors(n, above=above) == [f for f in prime_factors(n) if f > above]
+
+
+def test_prime_factors_above_examples():
+    n = 2**4 * 257 * 65521
+    assert prime_factors(n, above=2) == [257, 65521]
+    assert prime_factors(n, above=257) == [65521]
+    assert prime_factors(n, above=65521) == []
+    assert prime_factors(65537 * 65539, above=65537) == [65539]
+
+
 # ---------------------------------------------------------------------------
 # parameter sequences
 
@@ -127,10 +170,33 @@ def test_sequence_contract(coeffs, count, p_min):
             assert w <= 0 or w % pair.p != 0
 
 
-@pytest.mark.parametrize("coeffs,count,p_min", [((1, 0, 1), 4, 2), ((-3, 1), 4, 0)])
+@pytest.mark.parametrize(
+    "coeffs,count,p_min",
+    [
+        ((1, 0, 1), 4, 2),
+        ((-3, 1), 4, 0),
+        # q(1..3) <= 1 and q(1) = -9: the witness of 3 must have q(s) > 0
+        ((-10, 0, 1), 8, 0),
+        ((3, 0, 0, 0, 1), 12, 2),
+        # p_min above q(1..9) = 2, 5, ..., 82
+        ((1, 0, 1), 5, 100),
+    ],
+)
 def test_sequence_matches_trial_division_oracle(coeffs, count, p_min):
     got = [(pair.t, pair.p) for pair in prime_parameter_sequence(coeffs, count, p_min)]
     assert got == oracles.prime_pairs_by_trial_division(coeffs, count, p_min)
+
+
+_CLI_EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "cli_expected.json"
+
+
+@pytest.mark.parametrize("coeffs,count", [((1, 0, 1), 200), ((3, 0, 0, 0, 1), 100)])
+def test_sequence_matches_the_benchmark_pin(coeffs, count):
+    """The benchmark's two prime-seq scans, against its pinned stdout."""
+    argv = ["prime-seq", ",".join(map(str, coeffs)), str(count)]
+    (pinned,) = [e for e in json.loads(_CLI_EXPECTED.read_text()) if e["argv"] == argv]
+    pairs = prime_parameter_sequence(coeffs, count, p_min=2)
+    assert "".join(f"({pair.t}, {pair.p})\n" for pair in pairs) == pinned["stdout"]
 
 
 def test_search_ceiling():
