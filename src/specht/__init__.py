@@ -43,7 +43,6 @@ from .gram import (
     modular_rank,
     polytabloid,
     standard_tableaux,
-    tabloid_of,
 )
 from .parameters import (
     ParameterPair,
@@ -130,6 +129,5 @@ __all__ = [
     "specht_dimension",
     "specht_dimension_polynomial",
     "standard_tableaux",
-    "tabloid_of",
     "tail_bounded_partitions",
 ]

@@ -206,6 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         return p
 
+    def add_size_cap(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--size-cap",
+            type=_size_cap,
+            default=os.environ.get("SPECHT_SIZE_CAP", DEFAULT_SIZE_CAP),
+            help="largest |partition| accepted (env SPECHT_SIZE_CAP)",
+        )
+
     p = add("dim-specht", cmd_dim_specht, "dimension of a Specht module")
     p.add_argument("partition", help="partition, e.g. [5,2]")
 
@@ -231,12 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gram-rank", cmd_gram_rank, "rank of the Gram matrix over F_p")
     p.add_argument("partition", help="partition, e.g. [5,2]")
     p.add_argument("p", type=int, help="prime characteristic")
-    p.add_argument(
-        "--size-cap",
-        type=_size_cap,
-        default=os.environ.get("SPECHT_SIZE_CAP", DEFAULT_SIZE_CAP),
-        help="largest |partition| accepted (env SPECHT_SIZE_CAP)",
-    )
+    add_size_cap(p)
     p.add_argument("--dump", metavar="FILE", help="also write the mod-p matrix dump")
 
     p = add("verify", cmd_verify, "formula-vs-oracle verification grid")
@@ -253,12 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument(
-        "--size-cap",
-        type=_size_cap,
-        default=os.environ.get("SPECHT_SIZE_CAP", DEFAULT_SIZE_CAP),
-        help="largest |partition| accepted (env SPECHT_SIZE_CAP)",
-    )
+    add_size_cap(p)
 
     p = add("prime-seq", cmd_prime_seq, "prime parameter pairs (t, p) with p | q(t)")
     p.add_argument("coefficients", help="constant-first coefficients, e.g. 1,0,1")
@@ -284,8 +282,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except RuntimeError as exc:
-        # TooLarge, SearchExhausted, and the self-checks that raise
-        # RuntimeError (dimension polynomial verification, Pollard rho).
+        # TooLarge, SearchExhausted, and the Pollard rho self-check.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

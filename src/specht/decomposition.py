@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .dimensions import (
     RationalPolynomial,
+    first_row_residues,
     pad_partition,
     padding_threshold,
     specht_dimension_polynomial,
@@ -25,7 +26,6 @@ from .partitions import (
     Dominance,
     Partition,
     addable_rim_hooks,
-    conjugate,
     dominance_compare,
     format_partition,
     partition,
@@ -347,17 +347,15 @@ def irreducible_dimension_table(mu: Partition) -> CongruencePolynomial:
     For n large the chain at residue m grows past the base only when n - m is
     the hook length of a first-row cell (1, j) with j <= mu_1 of
     (n - |mu|, mu), i.e. for m in
-    R(mu) = { |mu| + j - 1 - mu'_j : 1 <= j <= mu_1 } (mu' the conjugate).
+    R(mu) = { |mu| + j - 1 - mu'_j : 1 <= j <= mu_1 } (``first_row_residues``).
     Hooks below row 1 are too short, and removing a hook at j > mu_1 only
     cuts the first row short, which re-adding can only restore.  Every other
     residue gets the default.
     """
     mu = partition(mu)
-    k = sum(mu)
     default = specht_dimension_polynomial(mu)
     cases: dict[int, RationalPolynomial] = {}
-    for j, col in enumerate(conjugate(mu), 1):
-        m = k + j - 1 - col
+    for m in first_row_residues(mu):
         poly = irreducible_dimension_formula(mu, m)
         if poly != default:
             cases[m] = poly

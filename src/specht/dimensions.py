@@ -1,8 +1,14 @@
 """Specht-module dimensions and their polynomial form in the padded family.
 
-For a fixed tail ``mu``, the shapes ``(n - |mu|, mu)`` form a family indexed
-by ``n``, and the number of standard tableaux is a polynomial in ``n`` of
-degree ``|mu|`` once ``n`` clears the padding threshold ``|mu| + mu[0]``.
+For a tail ``mu`` with k = |mu| and n >= k + mu_1 (the padding threshold),
+
+    dim S^(n - k, mu) = prod(n - i : 0 <= i < k + mu_1, i not in R(mu)) / H(mu),
+
+a polynomial in n of degree k, with H(mu) the product of mu's hook lengths
+and R(mu) = { k + j - 1 - mu'_j : 1 <= j <= mu_1 } (``first_row_residues``).
+By the hook length formula n!/prod(hooks): the hooks below row 1 are mu's;
+cell (1, j) with j <= mu_1 has hook n - r_j, the r_j in R(mu) distinct and
+below k + mu_1; the cells (1, j) with j > mu_1 have hooks n - k - mu_1, ..., 1.
 All arithmetic is exact (integers and fractions, no floating point).
 """
 
@@ -11,9 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .partitions import Partition, hook_lengths, partition
+from .partitions import Partition, conjugate, hook_lengths, partition
 
 __all__ = [
     "EmptyPartition",
@@ -122,22 +128,6 @@ class RationalPolynomial:
                 chunks.append(("+ " if c > 0 else "- ") + term)
         return " ".join(chunks)
 
-    @classmethod
-    def interpolate(
-        cls, points: Sequence[tuple[int, Union[int, Fraction]]]
-    ) -> "RationalPolynomial":
-        """Exact Lagrange interpolation through points with distinct x-values."""
-        result = cls()
-        for i, (xi, yi) in enumerate(points):
-            basis = cls((1,))
-            denom = Fraction(1)
-            for j, (xj, _) in enumerate(points):
-                if i != j:
-                    basis = basis * cls((-xj, 1))
-                    denom *= xi - xj
-            result = result + basis * (Fraction(yi) / denom)
-        return result
-
 
 def padding_threshold(mu: Partition) -> int:
     """Least n for which (n - |mu|, mu) is a partition (0 for the empty tail)."""
@@ -153,26 +143,31 @@ def pad_partition(mu: Partition, n: int) -> Partition:
     return (n - sum(mu), *mu)
 
 
+def first_row_residues(mu: Partition) -> tuple[int, ...]:
+    """R(mu): the r_j = |mu| + j - 1 - mu'_j for j = 1, ..., mu_1, increasing.
+
+    The first-row cell (1, j) of (n - |mu|, mu) has hook length n - r_j.
+    """
+    mu = partition(mu)
+    k = sum(mu)
+    return tuple(k + j - 1 - col for j, col in enumerate(conjugate(mu), 1))
+
+
 @cache
 def _dimension_polynomial(mu: Partition) -> RationalPolynomial:
-    k = sum(mu)
-    start = max(padding_threshold(mu), 1)
-    xs = range(start, start + k + 1)
-    poly = RationalPolynomial.interpolate(
-        [(x, specht_dimension(pad_partition(mu, x))) for x in xs]
-    )
-    # Exact interpolation through k+1 points is forced; three extra points
-    # guard against an off-by-one in the sampling window.
-    for x in range(start + k + 1, start + k + 4):
-        if poly(x) != specht_dimension(pad_partition(mu, x)):
-            raise RuntimeError(f"dimension polynomial failed verification for {mu}")
+    skip = set(first_row_residues(mu))
+    poly = RationalPolynomial((Fraction(1, prod(hook_lengths(mu).values())),))
+    for i in range(padding_threshold(mu)):
+        if i not in skip:
+            poly = poly * RationalPolynomial((-i, 1))
     return poly
 
 
 def specht_dimension_polynomial(mu: Partition) -> RationalPolynomial:
     """Degree-|mu| polynomial P with P(n) = dim of (n - |mu|, mu) past the threshold.
 
-    Built by exact interpolation at |mu| + 1 consecutive integers and verified
-    at three further points.
+    P(n) = prod(n - i : 0 <= i < |mu| + mu_1, i not in R(mu)) / H(mu), the
+    hook length formula with the first row's hooks written out (see the
+    module docstring).
     """
     return _dimension_polynomial(partition(mu))

@@ -35,7 +35,6 @@ __all__ = [
     "StandardTableau",
     "Tabloid",
     "standard_tableaux",
-    "tabloid_of",
     "polytabloid",
     "gram_matrix",
     "modular_rank",
@@ -100,11 +99,6 @@ def _standard_tableaux(lam: Partition) -> tuple[StandardTableau, ...]:
     return tuple(out)
 
 
-def tabloid_of(tableau: StandardTableau) -> Tabloid:
-    """Row-equivalence class of a tableau in canonical form (rows sorted)."""
-    return tuple(tuple(sorted(row)) for row in tableau)
-
-
 @cache
 def _signed_perms(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every permutation of range(k) as a row, and the sign of each."""
@@ -123,7 +117,6 @@ def _signed_perms(k: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, signs
 
 
-@lru_cache(maxsize=12)
 def _column_group(
     shape: tuple[int, ...],
 ) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:

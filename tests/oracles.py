@@ -193,6 +193,11 @@ def is_standard(tableau):
 # polytabloids by enumerating the column group
 
 
+def tabloid_of(tableau):
+    """Row-equivalence class of a tableau in canonical form (rows sorted)."""
+    return tuple(tuple(sorted(row)) for row in tableau)
+
+
 def polytabloid(tableau):
     """{tabloid: sign} over every product of permutations of the columns'
     entries; a tabloid is its rows as sorted tuples."""
@@ -210,7 +215,7 @@ def polytabloid(tableau):
         for perm in perms:
             for r, value in enumerate(perm):
                 rows[r].append(value)
-        out[tuple(tuple(sorted(r)) for r in rows)] = sign
+        out[tabloid_of(rows)] = sign
     return out
 
 

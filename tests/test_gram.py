@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 import specht.gram as gram_mod
-from oracles import is_standard
+from oracles import is_standard, tabloid_of
 from specht import (
     NotPrime,
     TooLarge,
@@ -25,7 +25,6 @@ from specht import (
     polytabloid,
     specht_dimension,
     standard_tableaux,
-    tabloid_of,
 )
 
 
