@@ -27,8 +27,9 @@ import sys
 import time
 from pathlib import Path
 
-SHAPES = ((11, 3), (10, 2, 2), (10, 3, 1))
-PRIMES = (3, 5, 7)
+# (11,2,1), d = 560, is the largest matrix of the oracle_grid benchmark.
+SHAPES = ((11, 3), (11, 2, 1), (10, 2, 2), (10, 3, 1))
+PRIMES = (3, 5, 7, 11)
 
 
 def _layers(lam: tuple[int, ...]) -> dict:

@@ -13,8 +13,8 @@ entry and partial sum is at most the column group order |C_t| <= 10**7,
 taken in batches of whole tabloid classes so that memory stays bounded.
 One matrix serves every prime: it is reduced mod p only inside the
 elimination kernel, a blocked elimination in float64 (panels of _PANEL
-columns, one BLAS Schur update each) that is exact while
-(columns + _PANEL) * p**2 < 2**53, with an int64 kernel for larger p.
+columns, one BLAS Schur update each) on residues in [0, p), exact while
+_PANEL * (p-1)**2 + p - 1 < 2**53; an int64 kernel takes larger p.
 
 numpy is imported inside the functions that build or reduce arrays, so
 importing this module does not load it; the first Gram or rank call does.
@@ -284,14 +284,25 @@ def gram_matrix(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> list[list[i
     return _gram_matrix_cached(lam).tolist()
 
 
-def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over F_p.
+def _integer_matrix(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """The rows as an integer array, 2-D or empty; ValueError otherwise."""
+    import numpy as np
 
-    Blocked elimination in float64 when (columns + _PANEL) * p**2 < 2**53,
-    where every value stays an integer below 2**53 and so is exact (see
-    _blocked_rank).  Larger primes (below 2**31) use column-by-column
-    elimination in int64, exact because products of residues stay below
-    p**2 < 2**62.
+    a = np.asarray(rows)  # ValueError for ragged rows
+    integers = a.dtype.kind in "biu" or all(hasattr(x, "__index__") for x in a.flat)
+    if a.ndim > 2 or a.size and (a.ndim != 2 or not integers):
+        raise ValueError(f"not a matrix of integers: shape {a.shape}, dtype {a.dtype}")
+    return a
+
+
+def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p of an integer matrix; ValueError if it is not one.
+
+    Blocked elimination in float64 on residues in [0, p), exact while a
+    residue minus _PANEL products of two, at most _PANEL * (p-1)**2 + p - 1
+    in size, stays below 2**53 (p <= 8388593; see _blocked_rank).  Larger
+    primes (below 2**31) use column-by-column elimination in int64, exact
+    because products of residues stay below p**2 < 2**62.
     """
     import numpy as np
 
@@ -299,71 +310,58 @@ def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
         raise NotPrime(f"{p} is not prime")
     if p >= 1 << 31:
         raise ValueError(f"p={p} too large for the elimination kernel")
-    a = np.asarray(rows)
-    if a.ndim != 2 or a.size == 0:
+    a = _integer_matrix(rows)
+    if a.size == 0:
         return 0
     # Reduce in the narrowest type that holds both the entries and p.
     a = np.mod(a, p, dtype=np.promote_types(a.dtype, np.min_scalar_type(p)))
-    if (a.shape[1] + _PANEL) * p * p < 1 << 53:
+    if _PANEL * (p - 1) ** 2 + p - 1 < 1 << 53:
         return _blocked_rank(a.astype(np.float64), p)
     return _column_rank(a.astype(np.int64), p)
 
 
 def _blocked_rank(a: np.ndarray, p: int) -> int:
-    """Right-looking blocked rank of an integer matrix held as floats.
+    """Right-looking blocked rank of a matrix of residues held as floats.
 
-    Each panel of _PANEL columns is reduced column by column, mod p,
-    against the pivots found so far in it (left-looking), taking the first
-    nonzero residue as pivot.  With L the multipliers and L_pp their rows
-    at the pivots (unit lower triangular), the other rows' trailing block
-    gets one Schur update A -= (L L_pp^-1 mod p) (A[pivots] mod p), and the
-    pivot rows are dropped.  The trailing block itself is never reduced
-    (delayed reduction).  Exactness: each update subtracts at most
-    _PANEL (p-1)**2 from an entry, and an entry in column c gets
-    c // _PANEL updates, so entries stay below columns * p**2 in size, and
-    a panel column minus its dot product with earlier pivots stays below
-    (columns + _PANEL) * p**2, the bound modular_rank checks against 2**53.
+    Each panel of _PANEL columns is reduced column by column against the
+    pivots found so far in it (left-looking), first nonzero residue as
+    pivot.  Pivot k, in column j and row i, gives the multipliers
+    L[:, k] = col / col[i] and the row U[k, j:] = a[i, j:] - L[i, :k] U[:k, j:].
+    The other rows get one Schur update a[rest, b:] - L[rest] U[:, b:], and
+    the pivot rows are dropped.  Each result is cast to int64 and reduced,
+    so every stored value is a residue: before that it is a residue minus
+    at most _PANEL products of two, so it and every partial sum lie within
+    _PANEL * (p-1)**2 + p - 1, which modular_rank keeps below 2**53.
     """
     import numpy as np
 
     rank = 0
-    while a.shape[0] and a.shape[1]:
-        panel = np.asfortranarray(a[:, :_PANEL])
-        m, b = panel.shape
-        lower = np.zeros((m, b), order="F")
-        upper = np.zeros((b, b))
+    while True:  # until the last panel, or one where every row is a pivot
+        m, b = a.shape[0], min(_PANEL, a.shape[1])
+        lower = np.zeros((m, b))
+        upper = np.zeros((b, a.shape[1]))
         pivots: list[int] = []
         for j in range(b):
             k = len(pivots)
-            col = np.mod(panel[:, j] - lower[:, :k] @ upper[:k, j], p)
-            nonzero = col.nonzero()[0]
-            if nonzero.size == 0:
+            col = (a[:, j] - lower[:, :k] @ upper[:k, j]).astype(np.int64) % p
+            i = int((col != 0).argmax())
+            if col[i] == 0:
                 continue
-            i = int(nonzero[0])
-            upper[k, j:] = np.mod(panel[i, j:] - lower[i, :k] @ upper[:k, j:], p)
-            lower[:, k] = np.mod(col * pow(int(col[i]), p - 2, p), p)
+            upper[k, j:] = (a[i, j:] - lower[i, :k] @ upper[:k, j:]).astype(np.int64) % p
+            lower[:, k] = col * pow(int(col[i]), p - 2, p) % p
             pivots.append(i)
-            if k + 1 == m:
-                break
         r = len(pivots)
         rank += r
         if r == m or b == a.shape[1]:
             return rank
-        l_pp = lower[pivots, :r]
-        inverse = np.eye(r)
-        for t in range(1, r):
-            inverse[t] = np.mod(inverse[t] - l_pp[t, :t] @ inverse[:t], p)
         rest = np.delete(np.arange(m), pivots)
-        w = np.mod(lower[rest, :r] @ inverse, p)
-        x = np.mod(a[pivots, b:], p)
-        a = a[:, b:]
         # Compact the surviving rows upward in place, one block at a time:
         # rest[j] >= j, so no block reads a row an earlier block wrote.
         for lo in range(0, len(rest), _PANEL):
-            hi = min(lo + _PANEL, len(rest))
-            a[lo:hi] = a[rest[lo:hi]] - w[lo:hi] @ x
-        a = a[: len(rest)]
-    return rank
+            block = rest[lo : lo + _PANEL]
+            schur = a[block, b:] - lower[block, :r] @ upper[:r, b:]
+            a[lo : lo + len(block), b:] = schur.astype(np.int64) % p
+        a = a[: len(rest), b:]
 
 
 def _column_rank(a: np.ndarray, p: int) -> int:
@@ -390,12 +388,12 @@ def _column_rank(a: np.ndarray, p: int) -> int:
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Exact rank over the rationals of an integer matrix.
+    """Exact rank over Q of an integer matrix; ValueError if it is not one.
 
     Fraction-free (Bareiss) elimination: every intermediate entry is a minor
     of the original matrix, so the divisions below are exact in Python ints.
     """
-    a = [[int(x) for x in row] for row in rows]
+    a = _integer_matrix(rows).tolist()
     if not a or not a[0]:
         return 0
     nrows, ncols = len(a), len(a[0])

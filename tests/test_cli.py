@@ -193,17 +193,11 @@ def _fail_self_check(*args):
     raise RuntimeError("self-check failed")
 
 
-@pytest.mark.parametrize(
-    "target,argv",
-    [
-        ("specht.dimensions._dimension_polynomial", ("dim-poly", "[2]")),
-        # 65537 * 65539: no prime factor below 2**16, so factoring needs rho.
-        ("specht.primes._pollard_rho", ("prime-seq", "4295229442,1", "1")),
-    ],
-)
-def test_failed_self_check_is_exit_3(monkeypatch, target, argv):
-    monkeypatch.setattr(target, _fail_self_check)
-    assert run_cli(*argv) == (3, "", "error: self-check failed\n")
+def test_failed_self_check_is_exit_3(monkeypatch):
+    monkeypatch.setattr("specht.primes._pollard_rho", _fail_self_check)
+    # 65537 * 65539: no prime factor below 2**16, so factoring needs rho.
+    result = run_cli("prime-seq", "4295229442,1", "1")
+    assert result == (3, "", "error: self-check failed\n")
 
 
 def test_search_limit_is_exit_3():

@@ -1,5 +1,6 @@
 """Explicit Specht modules: tableaux, polytabloids, Gram matrices, ranks."""
 
+import math
 import random
 
 import numpy as np
@@ -26,6 +27,7 @@ from specht import (
     specht_dimension,
     standard_tableaux,
 )
+from specht.primes import is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +238,87 @@ def test_modular_rank_at_the_panel_width(p):
     assert modular_rank(np.zeros((b + 1, 2 * b + 1), dtype=np.int64), p) == 0
 
 
+def _float_path_primes(b):
+    """The largest prime p with b (p-1)**2 + p - 1 < 2**53, and the next one."""
+    p = math.isqrt(2**53 // b) + 1
+    while not (is_prime(p) and b * (p - 1) ** 2 + p - 1 < 2**53):
+        p -= 1
+    q = p + 1
+    while not is_prime(q):
+        q += 1
+    return p, q
+
+
+def _refuse(*args):
+    raise AssertionError("wrong elimination kernel")
+
+
+def test_float_path_primes_at_the_default_panel():
+    assert gram_mod._PANEL == 128
+    assert _float_path_primes(128) == (8388593, 8388617)
+
+
+@pytest.mark.parametrize("b", [8, 128])
+def test_float_path_ends_at_the_exactness_bound(monkeypatch, b):
+    monkeypatch.setattr(gram_mod, "_PANEL", b)
+    last, first_beyond = _float_path_primes(b)
+    a = np.full((3, 2 * b + 1), last - 1, dtype=np.int64)
+    column_rank = gram_mod._column_rank
+    monkeypatch.setattr(gram_mod, "_column_rank", _refuse)
+    assert modular_rank(a, last) == 1
+    monkeypatch.setattr(gram_mod, "_column_rank", column_rank)
+    monkeypatch.setattr(gram_mod, "_blocked_rank", _refuse)
+    assert modular_rank(a, first_beyond) == 1
+
+
+@pytest.mark.parametrize("b", [8, 128])
+def test_blocked_rank_is_exact_at_the_largest_primes(monkeypatch, b):
+    """Dense residues up to p - 1 on both sides of the float path's bound,
+    against the int64 kernel, on sizes that cross panel boundaries."""
+    monkeypatch.setattr(gram_mod, "_PANEL", b)
+    rng = np.random.default_rng(b)
+    sizes = [(2 * b + 44, 2 * b + 44), (b + 1, 2 * b + 1), (2 * b + 1, b + 1)]
+    for p in _float_path_primes(b):
+        for m, n in sizes:
+            low_rank = _matrix_of_rank(rng, m, n, min(m, n) // 2, p)
+            for a in (rng.integers(0, p, (m, n)), np.full((m, n), p - 1), low_rank):
+                assert modular_rank(a, p) == gram_mod._column_rank(a.copy(), p)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[1, 2, 3], [[[1, 2]]], 7],
+    ids=["one-dimensional", "three-dimensional", "scalar"],
+)
+def test_rank_kernels_reject_non_matrices(rows):
+    with pytest.raises(ValueError):
+        modular_rank(rows, 5)
+    with pytest.raises(ValueError):
+        integer_rank(rows)
+
+
+@pytest.mark.parametrize("rows", [[[1], [2, 3]], [[1, 2], [3]]])
+def test_rank_kernels_reject_ragged_rows(rows):
+    with pytest.raises(ValueError):
+        modular_rank(rows, 5)
+    with pytest.raises(ValueError):
+        integer_rank(rows)
+
+
+@pytest.mark.parametrize("rows", [[[1.5, 2]], [[1.0, 2.0]], [[2**70, 0.5]], [[1, None]]])
+def test_rank_kernels_reject_non_integer_entries(rows):
+    with pytest.raises(ValueError):
+        modular_rank(rows, 5)
+    with pytest.raises(ValueError):
+        integer_rank(rows)
+
+
+def test_rank_kernels_take_integers_beyond_64_bits():
+    rows = [[2**70 + 1, 1], [1, 0]]
+    assert modular_rank(rows, 5) == 2
+    assert integer_rank(rows) == 2
+
+
 def test_integer_rank_basics():
     assert integer_rank([[2, 1], [1, 2]]) == 2
     assert integer_rank([[1, 2], [2, 4]]) == 1
@@ -277,6 +360,21 @@ def test_gram_rank_examples():
     assert gram_rank_mod_p((2, 1), 3) == 1
     assert gram_rank_mod_p((2, 1), 5) == 2
     assert gram_rank_mod_p((5, 2), 5) == 8
+
+
+@pytest.mark.parametrize(
+    "lam,ranks",
+    [
+        ((11, 2, 1), (560, 560, 482)),
+        ((10, 2, 1), (363, 429, 429)),
+        ((9, 2, 1), (320, 320, 267)),
+        ((11, 1, 1, 1), (286, 220, 286)),
+        ((11, 3), (196, 273, 260)),
+    ],
+)
+def test_gram_ranks_at_grid_sizes(lam, ranks):
+    """Matrices of 273 to 560 rows, past the panel width, at p = 5, 7, 11."""
+    assert tuple(gram_rank_mod_p(lam, p) for p in (5, 7, 11)) == ranks
 
 
 def test_gram_rank_requires_prime():
