@@ -287,26 +287,12 @@ def test_blocked_rank_is_exact_at_the_largest_primes(monkeypatch, b):
 
 @pytest.mark.parametrize(
     "rows",
-    [[1, 2, 3], [[[1, 2]]], 7],
-    ids=["one-dimensional", "three-dimensional", "scalar"],
+    [[1, 2, 3], [[[1, 2]]], 7, [[1], [2, 3]], [[1, 2], [3]]]
+    + [[[1.5, 2]], [[1.0, 2.0]], [[2**70, 0.5]], [[1, None]]],
+    ids=["1-D", "3-D", "scalar", "ragged-long", "ragged-short"]
+    + ["float", "integral-float", "float-beside-big-int", "none"],
 )
-def test_rank_kernels_reject_non_matrices(rows):
-    with pytest.raises(ValueError):
-        modular_rank(rows, 5)
-    with pytest.raises(ValueError):
-        integer_rank(rows)
-
-
-@pytest.mark.parametrize("rows", [[[1], [2, 3]], [[1, 2], [3]]])
-def test_rank_kernels_reject_ragged_rows(rows):
-    with pytest.raises(ValueError):
-        modular_rank(rows, 5)
-    with pytest.raises(ValueError):
-        integer_rank(rows)
-
-
-@pytest.mark.parametrize("rows", [[[1.5, 2]], [[1.0, 2.0]], [[2**70, 0.5]], [[1, None]]])
-def test_rank_kernels_reject_non_integer_entries(rows):
+def test_rank_kernels_reject_malformed_matrices(rows):
     with pytest.raises(ValueError):
         modular_rank(rows, 5)
     with pytest.raises(ValueError):
