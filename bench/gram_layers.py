@@ -29,7 +29,8 @@ from pathlib import Path
 
 # (11,2,1), d = 560, is the largest matrix of the oracle_grid benchmark.
 SHAPES = ((11, 3), (11, 2, 1), (10, 2, 2), (10, 3, 1))
-PRIMES = (3, 5, 7, 11)
+# 8388617 is the least prime past the float64 bound: it eliminates in int64.
+PRIMES = (3, 5, 7, 11, 8388617)
 
 
 def _layers(lam: tuple[int, ...]) -> dict:

@@ -12,9 +12,11 @@ over pairs of entries sharing a tabloid, exact in int32 because every
 entry and partial sum is at most the column group order |C_t| <= 10**7,
 taken in batches of whole tabloid classes so that memory stays bounded.
 One matrix serves every prime: it is reduced mod p only inside the
-elimination kernel, a blocked elimination in float64 (panels of _PANEL
-columns, one BLAS Schur update each) on residues in [0, p), exact while
-_PANEL * (p-1)**2 + p - 1 < 2**53; an int64 kernel takes larger p.
+elimination kernel, a blocked elimination (panels of columns, one Schur
+update each) on residues in [0, p).  It is exact while a residue minus a
+panel's worth of products of two residues stays below 2**53 in float64
+(BLAS, panels of _PANEL columns, p <= 8388593) or below 2**63 in int64
+(larger p, below 2**31, with panels as wide as that allows).
 
 numpy is imported inside the functions that build or reduce arrays, so
 importing this module does not load it; the first Gram or rank call does.
@@ -295,51 +297,61 @@ def _integer_matrix(rows: Sequence[Sequence[int]]) -> np.ndarray:
     return a
 
 
-def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over F_p of an integer matrix; ValueError if it is not one.
-
-    Blocked elimination in float64 on residues in [0, p), exact while a
-    residue minus _PANEL products of two, at most _PANEL * (p-1)**2 + p - 1
-    in size, stays below 2**53 (p <= 8388593; see _blocked_rank).  Larger
-    primes (below 2**31) use column-by-column elimination in int64, exact
-    because products of residues stay below p**2 < 2**62.
-    """
-    import numpy as np
-
+def _check_prime(p: int) -> None:
+    """NotPrime unless p is prime; ValueError unless p < 2**31, the
+    elimination kernel's limit."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p >= 1 << 31:
         raise ValueError(f"p={p} too large for the elimination kernel")
+
+
+def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p of an integer matrix; ValueError if it is not one.
+
+    Blocked elimination on residues in [0, p) (see _blocked_rank), exact
+    while a residue minus `panel` products of two residues, at most
+    panel * (p-1)**2 + p - 1 in size, stays below 2**53 in float64 or
+    below 2**63 in int64.  float64 with panel = _PANEL holds for
+    p <= 8388593; larger p < 2**31 run in int64 with the widest panel up to
+    _PANEL that the bound allows (9 at 10**9 + 7, 2 at 2**31 - 1).
+    """
+    import numpy as np
+
+    _check_prime(p)
     a = _integer_matrix(rows)
     if a.size == 0:
         return 0
     # Reduce in the narrowest type that holds both the entries and p.
     a = np.mod(a, p, dtype=np.promote_types(a.dtype, np.min_scalar_type(p)))
     if _PANEL * (p - 1) ** 2 + p - 1 < 1 << 53:
-        return _blocked_rank(a.astype(np.float64), p)
-    return _column_rank(a.astype(np.int64), p)
+        return _blocked_rank(a.astype(np.float64), p, _PANEL)
+    panel = min(_PANEL, ((1 << 63) - p) // (p - 1) ** 2)
+    return _blocked_rank(a.astype(np.int64), p, panel)
 
 
-def _blocked_rank(a: np.ndarray, p: int) -> int:
-    """Right-looking blocked rank of a matrix of residues held as floats.
+def _blocked_rank(a: np.ndarray, p: int, panel: int) -> int:
+    """Right-looking blocked rank of a matrix of residues held as float64
+    or int64.
 
-    Each panel of _PANEL columns is reduced column by column against the
+    Each panel of `panel` columns is reduced column by column against the
     pivots found so far in it (left-looking), first nonzero residue as
     pivot.  Pivot k, in column j and row i, gives the multipliers
     L[:, k] = col / col[i] and the row U[k, j:] = a[i, j:] - L[i, :k] U[:k, j:].
     The other rows get one Schur update a[rest, b:] - L[rest] U[:, b:], and
     the pivot rows are dropped.  Each result is cast to int64 and reduced,
     so every stored value is a residue: before that it is a residue minus
-    at most _PANEL products of two, so it and every partial sum lie within
-    _PANEL * (p-1)**2 + p - 1, which modular_rank keeps below 2**53.
+    at most `panel` products of two, so it and every partial sum lie within
+    panel * (p-1)**2 + p - 1, which modular_rank keeps below 2**53 for
+    float64 and below 2**63 for int64.
     """
     import numpy as np
 
     rank = 0
     while True:  # until the last panel, or one where every row is a pivot
-        m, b = a.shape[0], min(_PANEL, a.shape[1])
-        lower = np.zeros((m, b))
-        upper = np.zeros((b, a.shape[1]))
+        m, b = a.shape[0], min(panel, a.shape[1])
+        lower = np.zeros((m, b), dtype=a.dtype)
+        upper = np.zeros((b, a.shape[1]), dtype=a.dtype)
         pivots: list[int] = []
         for j in range(b):
             k = len(pivots)
@@ -362,29 +374,6 @@ def _blocked_rank(a: np.ndarray, p: int) -> int:
             schur = a[block, b:] - lower[block, :r] @ upper[:r, b:]
             a[lo : lo + len(block), b:] = schur.astype(np.int64) % p
         a = a[: len(rest), b:]
-
-
-def _column_rank(a: np.ndarray, p: int) -> int:
-    """Rank by Gaussian elimination with first-nonzero pivoting, in int64."""
-    import numpy as np
-
-    nrows, ncols = a.shape
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        pivots = np.nonzero(a[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        pr = rank + int(pivots[0])
-        if pr != rank:
-            a[[rank, pr]] = a[[pr, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, col]), p - 2, p) % p
-        below = np.nonzero(a[rank + 1 :, col])[0] + rank + 1
-        if below.size:
-            a[below] = (a[below] - np.outer(a[below, col], a[rank])) % p
-        rank += 1
-    return rank
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -427,8 +416,7 @@ def gram_rank_mod_p(lam: Partition, p: int, size_cap: int = DEFAULT_SIZE_CAP) ->
     canonical bilinear form.
     """
     lam = _check_cap(lam, size_cap)
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    _check_prime(p)
     return modular_rank(_gram_matrix_cached(lam), p)
 
 
@@ -462,8 +450,7 @@ def irreducible_dim_hook_family_check(n: int, p: int) -> tuple[int, int]:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    _check_prime(p)
     diffs = [[0] * n for _ in range(n - 1)]
     for i in range(n - 1):
         diffs[i][i] = 1

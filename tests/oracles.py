@@ -5,8 +5,9 @@ generated recursively, border strips are recognized by examining cell sets,
 tableaux come from filtering permutations, polytabloids from every
 product of column permutations, ranks come from textbook row
 reduction (Fractions over Q, max-residue pivoting over F_p — a different
-pivot rule than the library uses on purpose), and prime divisors come from
-plain trial division.  Slow is fine; independent is the point.
+pivot rule than the library uses on purpose — and an unblocked int64
+column elimination for large p), and prime divisors come from plain trial
+division.  Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
@@ -266,6 +267,33 @@ def rank_mod_p(matrix, p):
             if r != rank and m[r][col]:
                 f = m[r][col]
                 m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def column_rank(a, p):
+    """Rank by Gaussian elimination with first-nonzero pivoting, in int64.
+
+    The int64 reference for large p: a is an int64 array of residues, changed
+    in place; products of residues stay below p**2 < 2**62 for p < 2**31.
+    """
+    import numpy as np
+
+    nrows, ncols = a.shape
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        pivots = np.nonzero(a[rank:, col])[0]
+        if pivots.size == 0:
+            continue
+        pr = rank + int(pivots[0])
+        if pr != rank:
+            a[[rank, pr]] = a[[pr, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), p - 2, p) % p
+        below = np.nonzero(a[rank + 1 :, col])[0] + rank + 1
+        if below.size:
+            a[below] = (a[below] - np.outer(a[below, col], a[rank])) % p
         rank += 1
     return rank
 

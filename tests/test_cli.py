@@ -330,6 +330,7 @@ _FORMULA_CALLS = [
     (["dim-specht", "[2,x]"], 2),
     (["gram-rank", "[20]", "5"], 3),  # over the size cap
     (["gram-rank", "[2,1]", "6"], 2),  # composite modulus
+    (["gram-rank", "[2,1]", "2147483659"], 2),  # a prime past the kernel's limit
 ]
 
 

@@ -205,7 +205,8 @@ def _matrix_of_rank(rng, m, n, r, p, zero_columns=0):
     return a
 
 
-KERNEL_PRIMES = [2, 3, 5, 7, 11, 13, 65521, 2**31 - 1]
+# 8388617 and 10**9 + 7 run in int64, with panels of 128 and 9 columns.
+KERNEL_PRIMES = [2, 3, 5, 7, 11, 13, 65521, 8388617, 10**9 + 7, 2**31 - 1]
 
 
 def _sizes(b):
@@ -249,8 +250,17 @@ def _float_path_primes(b):
     return p, q
 
 
-def _refuse(*args):
-    raise AssertionError("wrong elimination kernel")
+def _record_kernel(monkeypatch):
+    """Wrap _blocked_rank; the returned list gets (element type, panel) per call."""
+    calls = []
+    blocked_rank = gram_mod._blocked_rank
+
+    def record(a, p, panel):
+        calls.append((a.dtype, panel))
+        return blocked_rank(a, p, panel)
+
+    monkeypatch.setattr(gram_mod, "_blocked_rank", record)
+    return calls
 
 
 def test_float_path_primes_at_the_default_panel():
@@ -263,18 +273,48 @@ def test_float_path_ends_at_the_exactness_bound(monkeypatch, b):
     monkeypatch.setattr(gram_mod, "_PANEL", b)
     last, first_beyond = _float_path_primes(b)
     a = np.full((3, 2 * b + 1), last - 1, dtype=np.int64)
-    column_rank = gram_mod._column_rank
-    monkeypatch.setattr(gram_mod, "_column_rank", _refuse)
+    calls = _record_kernel(monkeypatch)
     assert modular_rank(a, last) == 1
-    monkeypatch.setattr(gram_mod, "_column_rank", column_rank)
-    monkeypatch.setattr(gram_mod, "_blocked_rank", _refuse)
     assert modular_rank(a, first_beyond) == 1
+    assert calls == [(np.float64, b), (np.int64, b)]
+
+
+@pytest.mark.parametrize(
+    "p, width",
+    [(8388617, 128), (268435399, 128), (268435459, 127), (10**9 + 7, 9), (2**31 - 1, 2)],
+)
+def test_int64_panel_is_the_widest_the_bound_allows(monkeypatch, p, width):
+    """268435399 and 268435459 are the last prime with 128 columns and the
+    first with fewer."""
+    assert width * (p - 1) ** 2 + p - 1 < 2**63
+    assert width == 128 or (width + 1) * (p - 1) ** 2 + p - 1 >= 2**63
+    calls = _record_kernel(monkeypatch)
+    assert modular_rank([[1]], p) == 1
+    assert calls == [(np.int64, width)]
+
+
+@pytest.mark.parametrize(
+    "p, b", [(10**9 + 7, 128), (2**31 - 1, 128), (8388593, 8), (8388593, 128)]
+)
+def test_widest_panel_is_exact_on_the_largest_schur_values(monkeypatch, p, b):
+    """[[I_w, (p-1)J], [(p-1)J, wJ]] with w = panel + 1: the first panel's
+    Schur update takes w - panel (p-1)**2, a residue minus `panel` products
+    of the largest size, and the Schur complement wJ - (p-1)**2 wJ is 0 mod
+    p, so the rank is w."""
+    monkeypatch.setattr(gram_mod, "_PANEL", b)
+    calls = _record_kernel(monkeypatch)
+    modular_rank([[1]], p)
+    w = calls[0][1] + 1
+    a = np.full((w + 3, w + 3), p - 1, dtype=np.int64)
+    a[:w, :w] = np.eye(w, dtype=np.int64)
+    a[w:, w:] = w
+    assert modular_rank(a, p) == w
 
 
 @pytest.mark.parametrize("b", [8, 128])
 def test_blocked_rank_is_exact_at_the_largest_primes(monkeypatch, b):
     """Dense residues up to p - 1 on both sides of the float path's bound,
-    against the int64 kernel, on sizes that cross panel boundaries."""
+    against the int64 reference, on sizes that cross panel boundaries."""
     monkeypatch.setattr(gram_mod, "_PANEL", b)
     rng = np.random.default_rng(b)
     sizes = [(2 * b + 44, 2 * b + 44), (b + 1, 2 * b + 1), (2 * b + 1, b + 1)]
@@ -282,7 +322,7 @@ def test_blocked_rank_is_exact_at_the_largest_primes(monkeypatch, b):
         for m, n in sizes:
             low_rank = _matrix_of_rank(rng, m, n, min(m, n) // 2, p)
             for a in (rng.integers(0, p, (m, n)), np.full((m, n), p - 1), low_rank):
-                assert modular_rank(a, p) == gram_mod._column_rank(a.copy(), p)
+                assert modular_rank(a, p) == oracles.column_rank(a.copy(), p)
 
 
 @pytest.mark.parametrize(
