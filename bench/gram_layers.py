@@ -12,7 +12,8 @@ per (shape, prime) times ``gram_rank_mod_p`` end to end, which is the path
 users take, and reports its peak RSS.  Each figure is the median of K runs.
 Results are merged into the output file under NAME, next to the machine
 description, the checkout's git commit and whether its src/ differs from
-that commit.  Uses the stdlib and numpy only.
+that commit.  Exits non-zero, naming the shape and prime, if the checkouts
+measured disagree on d or on any rank.  Uses the stdlib and numpy only.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ import time
 from pathlib import Path
 
 # (11,2,1), d = 560, is the largest matrix of the oracle_grid benchmark.
-SHAPES = ((11, 3), (11, 2, 1), (10, 2, 2), (10, 3, 1))
+# [2,2,1^6] has d = 35 but 2.8e6 incidence entries, paired in four batches
+# of tabloid classes, a path the oracle_grid benchmark never takes.
+SHAPES = ((11, 3), (11, 2, 1), (10, 2, 2), (10, 3, 1), (2, 2, 1, 1, 1, 1, 1, 1))
 # 8388617 is the least prime past the float64 bound: it eliminates in int64.
 PRIMES = (3, 5, 7, 11, 8388617)
 
@@ -121,6 +124,25 @@ def _git(checkout: str, *args: str) -> str:
     return proc.stdout.strip()
 
 
+def disagreements(runs: dict) -> list[str]:
+    """Each shape and prime on which the runs give more than one d or rank
+    (layer ranks and end-to-end ranks alike)."""
+    out = []
+    for spec in next(iter(runs.values()))["shapes"]:
+        shapes = {name: run["shapes"][spec] for name, run in runs.items()}
+        ds = {name: s["d"] for name, s in shapes.items()}
+        if len(set(ds.values())) > 1:
+            out.append(f"{spec}: d differs: {ds}")
+        for p in map(str, PRIMES):
+            ranks = {
+                name: {s["rank"][p], s["gram_rank_mod_p"][p]["rank"]}
+                for name, s in shapes.items()
+            }
+            if len(set().union(*ranks.values())) > 1:
+                out.append(f"{spec} mod {p}: ranks differ: {ranks}")
+    return out
+
+
 def main() -> None:
     if len(sys.argv) > 1 and sys.argv[1] == "--child":
         kind, spec = sys.argv[2], sys.argv[3]
@@ -150,9 +172,10 @@ def main() -> None:
     }
     report["inputs"] = {"shapes": [list(lam) for lam in SHAPES], "primes": list(PRIMES)}
     runs = report.setdefault("runs", {})
+    measured = {}
     for item in args.src:
         name, _, checkout = item.partition("=")
-        runs[name] = {
+        runs[name] = measured[name] = {
             "commit": _git(checkout, "rev-parse", "HEAD") or None,
             # True when src/ differs from that commit (measured before commit).
             "src_modified": bool(_git(checkout, "status", "--porcelain", "--", "src")),
@@ -160,6 +183,9 @@ def main() -> None:
             "shapes": measure(checkout, args.repeat),
         }
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    problems = disagreements(measured)
+    if problems:
+        sys.exit("\n".join(problems))
 
 
 if __name__ == "__main__":

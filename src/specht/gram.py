@@ -7,8 +7,8 @@ the irreducible head of the Specht module for p-regular shapes.
 
 The matrix is G = E E^T, with E the signed incidence matrix of standard
 polytabloids against the tabloids they reach, built once per shape from
-the column stabilizer as arrays.  The product is a scatter-add of +/-1
-over pairs of entries sharing a tabloid, exact in int32 because every
+the column stabilizer as arrays.  Each tabloid adds the k x k block of
+sign products of the k entries reaching it, exact in int32 because every
 entry and partial sum is at most the column group order |C_t| <= 10**7,
 taken in batches of whole tabloid classes so that memory stays bounded.
 One matrix serves every prime: it is reduced mod p only inside the
@@ -52,7 +52,7 @@ _MAX_COLUMN_GROUP = 10_000_000
 # Most incidence entries paired at a time in Gram assembly (a batch takes
 # about 130 bytes per entry).
 _MAX_ENTRIES = 1 << 20
-# Entry pairs scatter-added at a time in Gram assembly.
+# Most entry pairs per scatter call in Gram assembly, or one tabloid's row if longer.
 _PAIRS = 1 << 18
 # Columns per elimination panel.
 _PANEL = 128
@@ -251,33 +251,32 @@ def _add_pairs(
     gram: np.ndarray, labels: np.ndarray, tableau: np.ndarray, sign: np.ndarray
 ) -> None:
     """Add s_e s_f to gram[i_e, i_f] for every pair of entries e, f with equal
-    rows of labels; entry e has tableau i_e = tableau[e], sign s_e = sign[e]."""
+    rows of labels; entry e has tableau i_e = tableau[e], sign s_e = sign[e].
+
+    The tabloids reached by k entries are the rows of a (tabloids, k) block;
+    each adds the k x k outer product of its row.  A scatter call takes at
+    most max(_PAIRS, k) pairs; k <= d, as no tableau reaches a tabloid twice."""
     import numpy as np
 
     # Entries sorted so that equal tabloids are adjacent (lexsort on uint8
     # keys is a radix sort), then compared as raw bytes.
     order = np.lexsort(labels.T)
     keys = labels[order].view(np.dtype((np.void, labels.shape[1]))).ravel()
-    new_tabloid = np.r_[True, keys[1:] != keys[:-1]]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     del keys  # large batches: free before the scatter
-    starts = np.flatnonzero(new_tabloid)
-    column = np.cumsum(new_tabloid) - 1
-    # Entry e pairs with each of the m_e entries of its tabloid; its pairs
-    # are numbered ends[e] - m_e .. ends[e] - 1, and the partner in pair q
-    # is entry shift[e] + q.
-    ends = np.cumsum(np.diff(np.r_[starts, len(order)])[column])
-    shift = starts[column] - np.r_[0, ends[:-1]]
-    del column
-    cuts = np.searchsorted(ends, np.arange(_PAIRS, ends[-1], _PAIRS))
-    bounds = sorted({0, *cuts.tolist(), len(ends)})
-    flat = gram.reshape(-1)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        first = ends[lo - 1] if lo else 0
-        left = np.repeat(np.arange(lo, hi), np.diff(np.r_[first, ends[lo:hi]]))
-        right = order[shift[left] + np.arange(first, ends[hi - 1])]
-        left = order[left]
-        pair_sign = (sign[left] * sign[right]).astype(np.int32)
-        np.add.at(flat, tableau[left] * len(gram) + tableau[right], pair_sign)
+    sizes = np.diff(np.r_[starts, len(order)])
+    flat, d = gram.reshape(-1), len(gram)
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique loads numpy.ma
+        e = order[starts[sizes == k, None] + np.arange(k)]
+        i, s = tableau[e], sign[e].astype(np.int32)
+        rows = min(k, max(1, _PAIRS // k))
+        step = max(1, _PAIRS // (rows * k))
+        for lo in range(0, len(e), step):
+            i_t, s_t = i[lo : lo + step], s[lo : lo + step]
+            for r in range(0, k, rows):
+                pairs = i_t[:, r : r + rows, None] * d + i_t[:, None, :]
+                pair_sign = s_t[:, r : r + rows, None] * s_t[:, None, :]
+                np.add.at(flat, pairs.ravel(), pair_sign.ravel())
 
 
 def gram_matrix(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> list[list[int]]:

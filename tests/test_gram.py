@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -127,20 +128,50 @@ def test_gram_matrix_is_the_polytabloid_pairing(lam):
 @pytest.mark.parametrize(
     "lam", [(2, 1), (3, 2, 1), (2, 2, 1, 1), (4, 1, 1, 1), (3, 3, 1, 1)]
 )
-@pytest.mark.parametrize("fraction", [2, 7, 50, 10**9])
-def test_gram_matrix_assembled_in_batches(monkeypatch, lam, fraction):
+@pytest.mark.parametrize(
+    "fraction, pairs",
+    [
+        pytest.param(
+            fraction, pairs, id=f"{fraction}-pairs{pairs}" if pairs else str(fraction)
+        )
+        for fraction in [2, 7, 50, 10**9]
+        for pairs in [None, 1, 5]
+    ],
+)
+def test_gram_matrix_assembled_in_batches(monkeypatch, lam, fraction, pairs):
     """Bounding the entries paired at a time splits the tabloids into classes
     by the rows of their first entries; the matrix must not change.  With
-    the bound below one tabloid's entries, every tabloid is its own class."""
+    the bound below one tabloid's entries, every tabloid is its own class.
+
+    Bounding the pairs per scatter call (_PAIRS, default when None) splits
+    each tabloid's k x k block: _PAIRS = 1 takes one row a call, 5 mixes
+    split tabloids with calls of whole ones.  No call may take more than
+    max(_PAIRS, k) pairs, and every pair is scattered once."""
     expected = gram_matrix(lam)
     tableaux = standard_tableaux(lam)
     entries = len(tableaux) * len(polytabloid(tableaux[0]))
+    reach = Counter(tabloid for t in tableaux for tabloid in oracles.polytabloid(t))
+    add, sizes = np.add, []
+
+    class RecordingAdd:  # numpy.add, recording the pairs of each add.at call
+        def __getattr__(self, name):
+            return getattr(add, name)
+
+        def at(self, a, indices, values):
+            sizes.append(np.size(indices))
+            add.at(a, indices, values)
+
+    monkeypatch.setattr(np, "add", RecordingAdd())
     monkeypatch.setattr(gram_mod, "_MAX_ENTRIES", max(entries // fraction, 1))
+    if pairs:
+        monkeypatch.setattr(gram_mod, "_PAIRS", pairs)
     gram_mod._gram_matrix_cached.cache_clear()
     try:
         assert gram_matrix(lam) == expected
     finally:
         gram_mod._gram_matrix_cached.cache_clear()
+    assert max(sizes) <= max(gram_mod._PAIRS, max(reach.values()))
+    assert sum(sizes) == sum(k * k for k in reach.values())
 
 
 def test_polytabloid_diagonal_norm_is_column_group_order():
