@@ -4,12 +4,17 @@
         [--repeat K] [--out BENCH_gram.json]
 
 For each checkout (a directory holding ``src/specht``) and each shape, a
-fresh interpreter times three layers through the module attributes of
-``specht.gram``: ``_standard_tableaux`` (tableaux), ``_gram_matrix_cached``
-(polytabloids or incidence matrix, then assembly) and ``modular_rank`` on
-the assembled matrix (elimination, per prime).  A second fresh interpreter
+fresh interpreter imports numpy, then times three layers through the module
+attributes of ``specht.gram``: ``_standard_tableaux`` (tableaux),
+``_gram_matrix_cached`` (polytabloids or incidence matrix, then assembly)
+and ``modular_rank`` on the assembled matrix (elimination, per prime).  On
+the JOINT_SHAPES it then ranks the cached matrix at the grid's primes
+5, 7, 11 twice: one ``gram_rank_mod_p`` call per prime, and one
+``gram_ranks_mod_p`` call for all three where the checkout has it (the
+``joint`` row).  A second fresh interpreter
 per (shape, prime) times ``gram_rank_mod_p`` end to end, which is the path
-users take, and reports its peak RSS.  Each figure is the median of K runs.
+users take, and reports its peak RSS.  Each figure is the median of K runs,
+the checkouts taking turns run by run.
 Results are merged into the output file under NAME, next to the machine
 description, the checkout's git commit and whether its src/ differs from
 that commit.  Exits non-zero, naming the shape and prime, if the checkouts
@@ -34,9 +39,14 @@ from pathlib import Path
 SHAPES = ((11, 3), (11, 2, 1), (10, 2, 2), (10, 3, 1), (2, 2, 1, 1, 1, 1, 1, 1))
 # 8388617 is the least prime past the float64 bound: it eliminates in int64.
 PRIMES = (3, 5, 7, 11, 8388617)
+# The primes of the criterion-3 grid, and its largest shape with two larger ones.
+JOINT_PRIMES = (5, 7, 11)
+JOINT_SHAPES = ((11, 2, 1), (10, 2, 2), (10, 3, 1))
 
 
 def _layers(lam: tuple[int, ...]) -> dict:
+    import numpy  # noqa: F401  before the clock: assembly_s leaves the import out
+
     from specht import gram
 
     t0 = time.perf_counter()
@@ -49,13 +59,25 @@ def _layers(lam: tuple[int, ...]) -> dict:
         start = time.perf_counter()
         ranks[p] = gram.modular_rank(matrix, p)
         elimination[p] = time.perf_counter() - start
-    return {
+    out = {
         "d": len(tableaux),
         "tableaux_s": t1 - t0,
         "assembly_s": t2 - t1,
         "elimination_s": elimination,
         "rank": ranks,
     }
+    if lam in JOINT_SHAPES:
+        start = time.perf_counter()
+        per_prime = {p: gram.gram_rank_mod_p(lam, p) for p in JOINT_PRIMES}
+        middle = time.perf_counter()
+        one_call = getattr(gram, "gram_ranks_mod_p", None)
+        joint = one_call(lam, JOINT_PRIMES) if one_call else per_prime
+        out["joint"] = {
+            "per_prime_s": middle - start,
+            "one_call_s": time.perf_counter() - middle if one_call else None,
+            "rank": joint,
+        }
+    return out
 
 
 def _end_to_end(lam: tuple[int, ...], p: int) -> dict:
@@ -92,30 +114,51 @@ def _median(runs: list, *path) -> float:
     return statistics.median(values)
 
 
-def measure(checkout: str, repeat: int) -> dict:
-    shapes = {}
+def _interleaved(checkouts: dict[str, str], argv: list[str], repeat: int) -> dict:
+    """K runs of one measurement per checkout, the checkouts taking turns
+    (in reverse order every other round), so that drift in the machine's
+    speed falls on all of them alike."""
+    runs: dict[str, list] = {name: [] for name in checkouts}
+    for i in range(repeat):
+        for name in list(checkouts)[:: 1 if i % 2 == 0 else -1]:
+            runs[name].append(_child(checkouts[name], argv))
+    return runs
+
+
+def measure(checkouts: dict[str, str], repeat: int) -> dict:
+    shapes: dict[str, dict] = {name: {} for name in checkouts}
+    # JSON turns the prime keys into strings.
+    primes = [str(p) for p in PRIMES]
     for lam in SHAPES:
         spec = ",".join(map(str, lam))
-        layer_runs = [_child(checkout, ["layers", spec]) for _ in range(repeat)]
-        # JSON turns the prime keys into strings.
-        primes = [str(p) for p in PRIMES]
-        entry = {
-            "d": layer_runs[0]["d"],
-            "tableaux_s": _median(layer_runs, "tableaux_s"),
-            "assembly_s": _median(layer_runs, "assembly_s"),
-            "elimination_s": {p: _median(layer_runs, "elimination_s", p) for p in primes},
-            "rank": layer_runs[0]["rank"],
-            "gram_rank_mod_p": {},
-        }
-        for p in PRIMES:
-            runs = [_child(checkout, ["e2e", spec, str(p)]) for _ in range(repeat)]
-            entry["gram_rank_mod_p"][str(p)] = {
-                "wall_s": _median(runs, "wall_s"),
-                "peak_rss_mb": _median(runs, "peak_rss_mb"),
-                "rank": runs[0]["rank"],
+        layers = _interleaved(checkouts, ["layers", spec], repeat)
+        e2e = {p: _interleaved(checkouts, ["e2e", spec, str(p)], repeat) for p in PRIMES}
+        for name, layer_runs in layers.items():
+            entry = {
+                "d": layer_runs[0]["d"],
+                "tableaux_s": _median(layer_runs, "tableaux_s"),
+                "assembly_s": _median(layer_runs, "assembly_s"),
+                "elimination_s": {p: _median(layer_runs, "elimination_s", p) for p in primes},
+                "rank": layer_runs[0]["rank"],
+                "gram_rank_mod_p": {},
             }
-        shapes["[" + spec + "]"] = entry
-        print(f"{checkout}: {lam} done", file=sys.stderr)
+            if "joint" in layer_runs[0]:
+                one_call = layer_runs[0]["joint"]["one_call_s"] is not None
+                entry["joint"] = {
+                    "primes": list(JOINT_PRIMES),
+                    "per_prime_s": _median(layer_runs, "joint", "per_prime_s"),
+                    "one_call_s": _median(layer_runs, "joint", "one_call_s") if one_call else None,
+                    "rank": layer_runs[0]["joint"]["rank"],
+                }
+            for p in PRIMES:
+                runs = e2e[p][name]
+                entry["gram_rank_mod_p"][str(p)] = {
+                    "wall_s": _median(runs, "wall_s"),
+                    "peak_rss_mb": _median(runs, "peak_rss_mb"),
+                    "rank": runs[0]["rank"],
+                }
+            shapes[name]["[" + spec + "]"] = entry
+        print(f"{lam} done", file=sys.stderr)
     return shapes
 
 
@@ -126,7 +169,7 @@ def _git(checkout: str, *args: str) -> str:
 
 def disagreements(runs: dict) -> list[str]:
     """Each shape and prime on which the runs give more than one d or rank
-    (layer ranks and end-to-end ranks alike)."""
+    (layer, joint and end-to-end ranks alike)."""
     out = []
     for spec in next(iter(runs.values()))["shapes"]:
         shapes = {name: run["shapes"][spec] for name, run in runs.items()}
@@ -135,7 +178,12 @@ def disagreements(runs: dict) -> list[str]:
             out.append(f"{spec}: d differs: {ds}")
         for p in map(str, PRIMES):
             ranks = {
-                name: {s["rank"][p], s["gram_rank_mod_p"][p]["rank"]}
+                name: {
+                    s["rank"][p],
+                    s["gram_rank_mod_p"][p]["rank"],
+                    s.get("joint", {}).get("rank", {}).get(p),
+                }
+                - {None}
                 for name, s in shapes.items()
             }
             if len(set().union(*ranks.values())) > 1:
@@ -170,17 +218,23 @@ def main() -> None:
         "numpy": numpy.__version__,
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
     }
-    report["inputs"] = {"shapes": [list(lam) for lam in SHAPES], "primes": list(PRIMES)}
+    report["inputs"] = {
+        "shapes": [list(lam) for lam in SHAPES],
+        "primes": list(PRIMES),
+        "joint_shapes": [list(lam) for lam in JOINT_SHAPES],
+        "joint_primes": list(JOINT_PRIMES),
+    }
     runs = report.setdefault("runs", {})
+    checkouts = dict(item.partition("=")[::2] for item in args.src)
+    shapes = measure(checkouts, args.repeat)
     measured = {}
-    for item in args.src:
-        name, _, checkout = item.partition("=")
+    for name, checkout in checkouts.items():
         runs[name] = measured[name] = {
             "commit": _git(checkout, "rev-parse", "HEAD") or None,
             # True when src/ differs from that commit (measured before commit).
             "src_modified": bool(_git(checkout, "status", "--porcelain", "--", "src")),
             "repeat": args.repeat,
-            "shapes": measure(checkout, args.repeat),
+            "shapes": shapes[name],
         }
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     problems = disagreements(measured)

@@ -11,12 +11,15 @@ the column stabilizer as arrays.  Each tabloid adds the k x k block of
 sign products of the k entries reaching it, exact in int32 because every
 entry and partial sum is at most the column group order |C_t| <= 10**7,
 taken in batches of whole tabloid classes so that memory stays bounded.
-One matrix serves every prime: it is reduced mod p only inside the
+One matrix serves every prime: it is reduced mod N only inside the
 elimination kernel, a blocked elimination (panels of columns, one Schur
-update each) on residues in [0, p).  It is exact while a residue minus a
-panel's worth of products of two residues stays below 2**53 in float64
-(BLAS, panels of _PANEL columns, p <= 8388593) or below 2**63 in int64
-(larger p, below 2**31, with panels as wide as that allows).
+update each) on residues in [0, N), with N a prime or a product of primes
+ranked together.  It pivots on units mod N only; a column with nonzero
+residues but no unit is deferred, and each prime ranks the deferred
+columns' leftover block alone.  It is exact while a residue minus a panel's
+worth of products of two residues stays below 2**53 in float64 (BLAS,
+panels of _PANEL columns, N <= 8388593) or below 2**63 in int64 (a larger
+prime, below 2**31, with panels as wide as that allows).
 
 numpy is imported inside the functions that build or reduce arrays, so
 importing this module does not load it; the first Gram or rank call does.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from math import factorial, prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .partitions import Partition, format_partition, partition
 from .primes import NotPrime, is_prime
@@ -40,8 +43,10 @@ __all__ = [
     "polytabloid",
     "gram_matrix",
     "modular_rank",
+    "modular_ranks",
     "integer_rank",
     "gram_rank_mod_p",
+    "gram_ranks_mod_p",
     "gram_rank_rational",
     "irreducible_dim_hook_family_check",
     "format_gram_dump",
@@ -308,71 +313,135 @@ def _check_prime(p: int) -> None:
 def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank over F_p of an integer matrix; ValueError if it is not one.
 
-    Blocked elimination on residues in [0, p) (see _blocked_rank), exact
-    while a residue minus `panel` products of two residues, at most
-    panel * (p-1)**2 + p - 1 in size, stays below 2**53 in float64 or
-    below 2**63 in int64.  float64 with panel = _PANEL holds for
-    p <= 8388593; larger p < 2**31 run in int64 with the widest panel up to
-    _PANEL that the bound allows (9 at 10**9 + 7, 2 at 2**31 - 1).
+    The one-prime case of modular_ranks.
     """
-    import numpy as np
+    return modular_ranks(rows, (p,))[p]
 
-    _check_prime(p)
+
+def _float_exact(n: int) -> bool:
+    """Whether a residue mod n minus _PANEL products of two stays below 2**53."""
+    return _PANEL * (n - 1) ** 2 + n - 1 < 1 << 53
+
+
+def modular_ranks(rows: Sequence[Sequence[int]], primes: Iterable[int]) -> dict[int, int]:
+    """Rank over F_p of an integer matrix at each prime p; ValueError if it
+    is not one.
+
+    The primes, in increasing order, are grouped greedily while their
+    product N keeps _PANEL * (N-1)**2 + N - 1 below 2**53, and each group
+    is one elimination over Z/N, the product of its fields F_p, in float64
+    (see _blocked_rank).  A prime that fits no group runs alone: in float64
+    up to 8388593, and above that, below 2**31, in int64 with the widest
+    panel up to _PANEL that keeps panel * (p-1)**2 + p - 1 below 2**63
+    (9 at 10**9 + 7, 2 at 2**31 - 1).
+    """
+    primes = list(dict.fromkeys(primes))
+    for p in primes:
+        _check_prime(p)
     a = _integer_matrix(rows)
     if a.size == 0:
-        return 0
-    # Reduce in the narrowest type that holds both the entries and p.
-    a = np.mod(a, p, dtype=np.promote_types(a.dtype, np.min_scalar_type(p)))
-    if _PANEL * (p - 1) ** 2 + p - 1 < 1 << 53:
-        return _blocked_rank(a.astype(np.float64), p, _PANEL)
-    panel = min(_PANEL, ((1 << 63) - p) // (p - 1) ** 2)
-    return _blocked_rank(a.astype(np.int64), p, panel)
+        return dict.fromkeys(primes, 0)
+    groups: list[tuple[int, ...]] = []
+    for p in sorted(primes):
+        if groups and _float_exact(prod(groups[-1]) * p):
+            groups[-1] += (p,)
+        else:
+            groups.append((p,))
+    ranks = {}
+    for group in groups:
+        ranks.update(_group_ranks(a, group))
+    return {p: ranks[p] for p in primes}
 
 
-def _blocked_rank(a: np.ndarray, p: int, panel: int) -> int:
-    """Right-looking blocked rank of a matrix of residues held as float64
-    or int64.
+def _group_ranks(a: np.ndarray, group: tuple[int, ...]) -> dict[int, int]:
+    """Rank of a nonempty integer matrix at each prime of the group, from
+    one elimination over Z/N, N the product of the group: its pivots count
+    at every prime, and each prime ranks the leftover block on its own."""
+    import numpy as np
+
+    n = prod(group)
+    # Reduce in the narrowest type that holds both the entries and n.
+    a = np.mod(a, n, dtype=np.promote_types(a.dtype, np.min_scalar_type(n)))
+    if _float_exact(n):
+        rank, leftover = _blocked_rank(a.astype(np.float64), group, _PANEL)
+    else:
+        panel = min(_PANEL, ((1 << 63) - n) // (n - 1) ** 2)
+        rank, leftover = _blocked_rank(a.astype(np.int64), group, panel)
+    if leftover.size == 0:  # always for a prime
+        return dict.fromkeys(group, rank)
+    return {q: rank + _group_ranks(leftover, (q,))[q] for q in group}
+
+
+def _blocked_rank(
+    a: np.ndarray, primes: tuple[int, ...], panel: int
+) -> tuple[int, np.ndarray]:
+    """Right-looking blocked elimination over Z/n, n the product of the
+    primes, of a matrix of residues held as float64 or int64: the number of
+    pivots, and the leftover block.
 
     Each panel of `panel` columns is reduced column by column against the
-    pivots found so far in it (left-looking), first nonzero residue as
+    pivots found so far in it (left-looking), the first unit residue as
     pivot.  Pivot k, in column j and row i, gives the multipliers
     L[:, k] = col / col[i] and the row U[k, j:] = a[i, j:] - L[i, :k] U[:k, j:].
-    The other rows get one Schur update a[rest, b:] - L[rest] U[:, b:], and
-    the pivot rows are dropped.  Each result is cast to int64 and reduced,
-    so every stored value is a residue: before that it is a residue minus
-    at most `panel` products of two, so it and every partial sum lie within
-    panel * (p-1)**2 + p - 1, which modular_rank keeps below 2**53 for
-    float64 and below 2**63 for int64.
+    A column whose residues are nonzero but hold no unit (n composite) is
+    deferred: it is swapped with the last column not yet deferred, U's
+    columns with it, so it sits right of every later pivot column and each
+    later Schur update reaches it; it is never examined again.  The other
+    rows get one Schur update a[rest, b:] - L[rest] U[:, b:], and the pivot
+    rows are dropped.  A unit mod n is a unit mod each prime q | n, so the
+    rank mod q is the pivot count plus the rank mod q of the leftover: the
+    surviving rows on the deferred columns (none for a prime n).
+
+    Each result is cast to int64 and reduced, so every stored value is a
+    residue: before that it is a residue minus at most `panel` products of
+    two, so it and every partial sum lie within panel * (n-1)**2 + n - 1,
+    which modular_ranks keeps below 2**53 for float64 and below 2**63 for
+    int64.
     """
     import numpy as np
 
-    rank = 0
-    while True:  # until the last panel, or one where every row is a pivot
-        m, b = a.shape[0], min(panel, a.shape[1])
+    n = prod(primes)
+    units = None  # for a prime n, the nonzero residues
+    if len(primes) > 1:
+        units = np.ones(n, dtype=bool)  # indexed by residue
+        for q in primes:
+            units[::q] = False
+    rank, deferred = 0, 0  # deferred: the columns at the right end
+    while True:  # until the panel reaches the deferred columns, or no row is left
+        m, w = a.shape
+        b = min(panel, w - deferred)
         lower = np.zeros((m, b), dtype=a.dtype)
-        upper = np.zeros((b, a.shape[1]), dtype=a.dtype)
+        upper = np.zeros((b, w), dtype=a.dtype)
         pivots: list[int] = []
-        for j in range(b):
+        j = 0
+        while j < b:
             k = len(pivots)
-            col = (a[:, j] - lower[:, :k] @ upper[:k, j]).astype(np.int64) % p
-            i = int((col != 0).argmax())
-            if col[i] == 0:
+            col = (a[:, j] - lower[:, :k] @ upper[:k, j]).astype(np.int64) % n
+            unit = col != 0 if units is None else units[col]
+            i = int(unit.argmax())
+            if unit[i]:
+                upper[k, j:] = (a[i, j:] - lower[i, :k] @ upper[:k, j:]).astype(np.int64) % n
+                lower[:, k] = col * pow(int(col[i]), -1, n) % n
+                pivots.append(i)
+            elif col.any():  # defer: swap in the last column not yet deferred
+                deferred += 1
+                t = w - deferred
+                a[:, [j, t]], upper[:k, [j, t]] = a[:, [t, j]], upper[:k, [t, j]]
+                b = min(b, t)
                 continue
-            upper[k, j:] = (a[i, j:] - lower[i, :k] @ upper[:k, j:]).astype(np.int64) % p
-            lower[:, k] = col * pow(int(col[i]), p - 2, p) % p
-            pivots.append(i)
+            j += 1
         r = len(pivots)
         rank += r
-        if r == m or b == a.shape[1]:
-            return rank
         rest = np.delete(np.arange(m), pivots)
         # Compact the surviving rows upward in place, one block at a time:
         # rest[j] >= j, so no block reads a row an earlier block wrote.
-        for lo in range(0, len(rest), _PANEL):
+        for lo in range(0, len(rest) if b < w else 0, _PANEL):
             block = rest[lo : lo + _PANEL]
             schur = a[block, b:] - lower[block, :r] @ upper[:r, b:]
-            a[lo : lo + len(block), b:] = schur.astype(np.int64) % p
+            a[lo : lo + len(block), b:] = schur.astype(np.int64) % n
         a = a[: len(rest), b:]
+        if len(rest) == 0 or a.shape[1] == deferred:
+            return rank, a
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -412,11 +481,22 @@ def gram_rank_mod_p(lam: Partition, p: int, size_cap: int = DEFAULT_SIZE_CAP) ->
 
     For p-regular shapes this is the dimension of the irreducible head of
     the Specht module in characteristic p; in general it is the rank of the
-    canonical bilinear form.
+    canonical bilinear form.  The one-prime case of gram_ranks_mod_p.
     """
+    return gram_ranks_mod_p(lam, (p,), size_cap)[p]
+
+
+def gram_ranks_mod_p(
+    lam: Partition, primes: Iterable[int], size_cap: int = DEFAULT_SIZE_CAP
+) -> dict[int, int]:
+    """Rank of the Gram matrix over F_p at each prime p, from one
+    elimination per group of primes (see modular_ranks).  Checks the size
+    cap, then each prime, before the matrix is built."""
     lam = _check_cap(lam, size_cap)
-    _check_prime(p)
-    return modular_rank(_gram_matrix_cached(lam), p)
+    primes = list(primes)
+    for p in primes:
+        _check_prime(p)
+    return modular_ranks(_gram_matrix_cached(lam), primes)
 
 
 def gram_rank_rational(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> int:

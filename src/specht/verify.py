@@ -1,7 +1,8 @@
 """Grid verification of the polynomial dimension formulas against the Gram oracle.
 
-Every (mu, p, n) cell compares irreducible_dimension_formula(mu, n mod p)
-evaluated at n with gram_rank_mod_p((n - |mu|, mu), p). Records where the
+Every (mu, p, n) record compares irreducible_dimension_formula(mu, n mod p)
+evaluated at n with the Gram rank mod p of (n - |mu|, mu); gram_ranks_mod_p
+gives it at all the primes of a (mu, n) cell in one call. Records where the
 padded shape is p-singular or n <= p are out of regime: they are reported
 but excluded from pass/fail. Mismatches only count against the run when the
 record also satisfies p > |mu| and n > 4|mu|, the window in which the
@@ -20,7 +21,8 @@ from .decomposition import (
     irreducible_dimension_formula,
 )
 from .dimensions import pad_partition
-from .gram import DEFAULT_SIZE_CAP, TooLarge, gram_rank_mod_p
+from .gram import DEFAULT_SIZE_CAP, TooLarge, gram_ranks_mod_p
+from .gram import gram_rank_mod_p  # noqa: F401  a tracer boundary in perfbench/tracing.py
 from .partitions import Partition, format_partition, is_p_regular, partition
 
 __all__ = ["VerificationRecord", "VerificationReport", "run_verification"]
@@ -120,8 +122,8 @@ def run_verification(
     """Compare formula and oracle on the full (mu, p, n) grid.
 
     Records come out in (mu, p, n) lexicographic order (mu graded by size);
-    internally the grid is walked grouped by (mu, n) so the cached integer
-    Gram matrix serves every prime before moving on.
+    internally the grid is walked by (mu, n) cell, and each cell's Gram
+    matrix is ranked at all its primes in one call.
     """
     mus = sorted({partition(mu) for mu in mu_list}, key=_mu_sort_key)
     ps = sorted(set(p_list))
@@ -129,8 +131,8 @@ def run_verification(
     by_key: dict[tuple[Partition, int, int], VerificationRecord] = {}
     for mu in mus:
         for n in ns:
-            for p in ps:
-                by_key[(mu, p, n)] = _build_record(mu, p, n, size_cap)
+            for rec in _cell_records(mu, n, ps, size_cap):
+                by_key[(mu, rec.p, n)] = rec
     grid = [by_key[(mu, p, n)] for mu in mus for p in ps for n in ns]
     summary = {
         "records": len(grid),
@@ -151,38 +153,51 @@ def _add_error(rec: VerificationRecord, prefix: str, exc: Exception) -> None:
     rec.error = msg if rec.error is None else f"{rec.error}; {msg}"
 
 
-def _build_record(
-    mu: Partition, p: int, n: int, size_cap: int
-) -> VerificationRecord:
+def _cell_records(
+    mu: Partition, n: int, ps: Sequence[int], size_cap: int
+) -> list[VerificationRecord]:
+    """The records of one (mu, n) cell, one per prime in ps.  The oracle
+    ranks the cell's Gram matrix at every prime in one call, before the
+    formulas run."""
     k = sum(mu)
-    m = n % p
-    rec = VerificationRecord(
-        mu=mu,
-        p=p,
-        n=n,
-        m=m,
-        k=k,
-        hypothesis=(p > k and n > 4 * k),
-        in_regime=False,
-    )
+    ranks: dict[int, int] = {}
+    shape_error = oracle_error = None
     try:
         lam = pad_partition(mu, n)
     except ValueError as exc:
-        _add_error(rec, "shape", exc)
-        return rec
-    rec.in_regime = n > p and is_p_regular(lam, p)
-    try:
-        value = irreducible_dimension_formula(mu, m)(n)
-        if value.denominator == 1:
-            rec.formula_dim = int(value)
-        else:
-            _add_error(rec, "formula", ValueError(f"non-integral value {value}"))
-    except (NotTotallyOrdered, SizeError) as exc:
-        _add_error(rec, "formula", exc)
-    try:
-        rec.oracle_dim = gram_rank_mod_p(lam, p, size_cap)
-    except TooLarge as exc:
-        _add_error(rec, "oracle", exc)
-    if rec.formula_dim is not None and rec.oracle_dim is not None:
-        rec.match = rec.formula_dim == rec.oracle_dim
-    return rec
+        shape_error = exc
+    else:
+        try:
+            ranks = gram_ranks_mod_p(lam, ps, size_cap)
+        except TooLarge as exc:
+            oracle_error = exc
+    records = []
+    for p in ps:
+        rec = VerificationRecord(
+            mu=mu,
+            p=p,
+            n=n,
+            m=n % p,
+            k=k,
+            hypothesis=(p > k and n > 4 * k),
+            in_regime=False,
+        )
+        records.append(rec)
+        if shape_error is not None:
+            _add_error(rec, "shape", shape_error)
+            continue
+        rec.in_regime = n > p and is_p_regular(lam, p)
+        try:
+            value = irreducible_dimension_formula(mu, rec.m)(n)
+            if value.denominator == 1:
+                rec.formula_dim = int(value)
+            else:
+                _add_error(rec, "formula", ValueError(f"non-integral value {value}"))
+        except (NotTotallyOrdered, SizeError) as exc:
+            _add_error(rec, "formula", exc)
+        if oracle_error is not None:
+            _add_error(rec, "oracle", oracle_error)
+        rec.oracle_dim = ranks.get(p)
+        if rec.formula_dim is not None and rec.oracle_dim is not None:
+            rec.match = rec.formula_dim == rec.oracle_dim
+    return records

@@ -174,6 +174,12 @@ def test_composite_modulus_is_exit_2():
     assert "prime" in err.lower()
 
 
+@pytest.mark.parametrize("p", ["4", "0"])
+def test_verify_with_a_nonprime_is_exit_2(p):
+    code, out, err = run_cli("verify", "--p", "5", "--p", p, "--n-max", "8")
+    assert (code, out, err) == (2, "", f"error: {p} is not prime\n")
+
+
 def test_size_cap_is_exit_3():
     code, _, err = run_cli("gram-rank", "[9,8]", "5")
     assert code == 3

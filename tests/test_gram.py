@@ -20,9 +20,11 @@ from specht import (
     gram_matrix,
     gram_rank_mod_p,
     gram_rank_rational,
+    gram_ranks_mod_p,
     integer_rank,
     irreducible_dim_hook_family_check,
     modular_rank,
+    modular_ranks,
     partitions_of,
     polytabloid,
     specht_dimension,
@@ -410,6 +412,161 @@ def test_rank_is_invariant_under_simultaneous_permutation():
 
 
 # ---------------------------------------------------------------------------
+# ranks at several primes from one elimination over Z/N, N their product
+
+PRIME_SETS = [(2, 3), (5, 7, 11), (3, 5, 7, 11, 13), (2, 3, 5, 7, 11, 13)]
+# 5 * 7 runs in float64; 8388617 and 2**31 - 1 run alone in int64.
+MIXED_PRIMES = (5, 7, 8388617, 2**31 - 1)
+
+
+def _reference_ranks(rows, primes):
+    """One int64 reference elimination per prime."""
+    a = np.array(rows, dtype=object)
+    return {p: oracles.column_rank((a % p).astype(np.int64), p) for p in primes}
+
+
+def _planted(rng, m, n, ranks):
+    """An m x n integer matrix of rank ranks[p] mod each prime p: matrices
+    of those ranks mod each p, glued by the Chinese remainder theorem."""
+    big = math.prod(ranks)
+    a = np.zeros((m, n), dtype=object)
+    for p, r in ranks.items():
+        unit = big // p * pow(big // p, -1, p)  # 1 mod p, 0 mod the others
+        a += _matrix_of_rank(rng, m, n, r, p, zero_columns=3).astype(object) * unit
+    return a % big
+
+
+def _record_moduli(monkeypatch):
+    """Wrap _blocked_rank; the returned list gets the modulus of each call."""
+    moduli = []
+    blocked_rank = gram_mod._blocked_rank
+
+    def record(a, primes, panel):
+        moduli.append(math.prod(primes))
+        return blocked_rank(a, primes, panel)
+
+    monkeypatch.setattr(gram_mod, "_blocked_rank", record)
+    return moduli
+
+
+@pytest.mark.parametrize("primes", PRIME_SETS, ids=str)
+def test_modular_ranks_match_the_reference_on_gram_matrices(primes):
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            g = gram_matrix(lam)
+            assert modular_ranks(g, primes) == _reference_ranks(g, primes), lam
+
+
+@pytest.mark.parametrize("primes", PRIME_SETS + [MIXED_PRIMES], ids=str)
+@pytest.mark.parametrize("b", [4, 128])
+def test_modular_ranks_on_planted_per_prime_ranks(monkeypatch, primes, b):
+    monkeypatch.setattr(gram_mod, "_PANEL", b)
+    rng = np.random.default_rng(sum(primes) + b)
+    for m, n in [(9, 9), (8, 13), (13, 8), (21, 21)]:
+        for _ in range(4):
+            ranks = {p: int(rng.integers(0, min(m, n) + 1)) for p in primes}
+            assert modular_ranks(_planted(rng, m, n, ranks), primes) == ranks
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [{5: 20, 7: 13, 11: 20}, {5: 20, 7: 0, 11: 20}, {5: 0, 7: 20, 11: 0}],
+    ids=["deficient-mod-7", "zero-mod-7", "zero-mod-5-and-11"],
+)
+def test_modular_ranks_with_one_prime_apart(monkeypatch, ranks):
+    monkeypatch.setattr(gram_mod, "_PANEL", 8)
+    moduli = _record_moduli(monkeypatch)
+    a = _planted(np.random.default_rng(20), 20, 20, ranks)
+    assert modular_ranks(a, tuple(ranks)) == ranks
+    assert moduli[0] == 385 and set(moduli[1:]) <= {5, 7, 11}
+
+
+@pytest.mark.parametrize("b", [8, 128])
+def test_columns_without_units_are_ranked_at_each_prime(monkeypatch, b):
+    """Every nonzero entry of the first columns is a multiple of 5, 7 or 11,
+    so none is a unit mod 385: the joint pass defers those columns."""
+    monkeypatch.setattr(gram_mod, "_PANEL", b)
+    moduli = _record_moduli(monkeypatch)
+    rng = np.random.default_rng(b)
+    primes = (5, 7, 11)
+    for m, n in [(12, 12), (20, 9), (9, 20), (30, 30)]:
+        for k in (n // 2, n):
+            a = rng.integers(-50, 50, (m, n))
+            a[:, :k] = rng.choice([0, 5, 7, 11], (m, k)) * rng.integers(1, 50, (m, k))
+            moduli.clear()
+            assert modular_ranks(a, primes) == _reference_ranks(a, primes)
+            # With no unit anywhere, each prime ranks the whole matrix.
+            assert moduli[0] == 385 and (k < n or moduli == [385, 5, 7, 11])
+
+
+def test_modular_ranks_of_empty_and_thin_matrices():
+    primes = (5, 7, 11)
+    zero = dict.fromkeys(primes, 0)
+    assert modular_ranks([], primes) == zero
+    assert modular_ranks(np.zeros((0, 3), dtype=int), primes) == zero
+    assert modular_ranks(np.zeros((3, 0), dtype=int), primes) == zero
+    assert modular_ranks([[1]], primes) == dict.fromkeys(primes, 1)
+    assert modular_ranks([[385, 770]], primes) == zero
+    assert modular_ranks([[0, 35, 0]], primes) == {5: 0, 7: 0, 11: 1}
+    assert modular_ranks([[0], [55], [0], [77]], primes) == {5: 1, 7: 1, 11: 0}
+    assert modular_ranks([[5, 7, 11]], primes) == dict.fromkeys(primes, 1)
+    assert modular_ranks([[5], [7], [11]], primes) == dict.fromkeys(primes, 1)
+
+
+def test_modular_ranks_mix_float_and_int64_primes(monkeypatch):
+    moduli = _record_moduli(monkeypatch)
+    ranks = {5: 6, 7: 9, 8388617: 12, 2**31 - 1: 10}
+    a = _planted(np.random.default_rng(1), 12, 14, ranks)
+    assert modular_ranks(a, MIXED_PRIMES) == ranks
+    assert moduli[0] == 35 and [n for n in moduli if n > 35] == [8388617, 2**31 - 1]
+
+
+def _last_float_modulus():
+    """The largest N with _PANEL (N-1)**2 + N - 1 < 2**53."""
+    n = math.isqrt(2**53 // gram_mod._PANEL) + 1
+    while gram_mod._PANEL * (n - 1) ** 2 + n - 1 >= 2**53:
+        n -= 1
+    return n
+
+
+@pytest.mark.parametrize(
+    "primes, moduli",
+    [
+        ((5, 7, 11), [385]),
+        ((11, 7, 5, 7), [385]),
+        ((2, 3, 5, 7, 11, 13), [30030]),
+        ((3, 8388593), [3, 8388593]),
+        ((2, 3, 8388617, 2**31 - 1), [6, 8388617, 2**31 - 1]),
+        ((2, 4194301, 4194329), [8388602, 4194329]),
+    ],
+)
+def test_primes_are_grouped_while_the_float_bound_holds(monkeypatch, primes, moduli):
+    """2 * 4194301 fits under the bound and 2 * 4194329 does not."""
+    assert 2 * 4194301 <= _last_float_modulus() < 2 * 4194329
+    calls = _record_moduli(monkeypatch)
+    ranks = modular_ranks(np.eye(3, dtype=np.int64), primes)
+    assert list(ranks) == list(dict.fromkeys(primes))
+    assert set(ranks.values()) == {3}
+    assert calls == moduli
+
+
+def test_joint_ranks_of_10_2():
+    """d = 54, of full rank mod 7 only.  Deferring a column without swapping
+    its U entries along with it gives 48 mod 5."""
+    assert gram_ranks_mod_p((10, 2), (5, 7, 11)) == {5: 43, 7: 54, 11: 53}
+
+
+def test_gram_ranks_check_the_cap_then_each_prime_before_assembly(monkeypatch):
+    with pytest.raises(TooLarge):
+        gram_ranks_mod_p((9, 8), (5, 4))
+    monkeypatch.setattr(gram_mod, "_gram_matrix_cached", None)  # never reached
+    with pytest.raises(NotPrime, match="^4 is not prime$"):
+        gram_ranks_mod_p((2, 1), (5, 4, 6))
+    with pytest.raises(ValueError, match="too large"):
+        gram_ranks_mod_p((2, 1), (5, 2147483659))
+
+
+# ---------------------------------------------------------------------------
 # Gram ranks: frozen values and structural properties
 
 
@@ -430,8 +587,10 @@ def test_gram_rank_examples():
     ],
 )
 def test_gram_ranks_at_grid_sizes(lam, ranks):
-    """Matrices of 273 to 560 rows, past the panel width, at p = 5, 7, 11."""
+    """Matrices of 273 to 560 rows, past the panel width, at p = 5, 7, 11,
+    one prime at a time and all three in one elimination."""
     assert tuple(gram_rank_mod_p(lam, p) for p in (5, 7, 11)) == ranks
+    assert gram_ranks_mod_p(lam, (5, 7, 11)) == dict(zip((5, 7, 11), ranks))
 
 
 def test_gram_rank_requires_prime():

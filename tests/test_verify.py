@@ -2,7 +2,8 @@
 
 import pytest
 
-from specht import run_verification
+import specht.verify as verify_mod
+from specht import NotPrime, gram_rank_mod_p, pad_partition, run_verification
 
 
 def _record(report, mu, p, n):
@@ -66,6 +67,58 @@ def test_oracle_errors_are_recorded_not_raised():
     # the record sits inside the hypothesis window, so the run cannot pass
     assert rec.in_regime and rec.hypothesis
     assert not report.passed
+
+
+def _record_oracle_calls(monkeypatch):
+    """Wrap the Gram oracle verify calls; the returned list gets (shape,
+    primes) per call."""
+    calls = []
+    ranks = verify_mod.gram_ranks_mod_p
+
+    def record(lam, primes, size_cap):
+        calls.append((lam, list(primes)))
+        return ranks(lam, primes, size_cap)
+
+    monkeypatch.setattr(verify_mod, "gram_ranks_mod_p", record)
+    return calls
+
+
+def test_oracle_is_called_once_per_cell(monkeypatch):
+    calls = _record_oracle_calls(monkeypatch)
+    report = run_verification([(3,), (1,)], [11, 5, 7], range(4, 9))
+    # (n - 3, 3) is a partition only from n = 6: no oracle call before.
+    assert calls == [((n - 1, 1), [5, 7, 11]) for n in range(4, 9)] + [
+        ((n - 3, 3), [5, 7, 11]) for n in range(6, 9)
+    ]
+    for rec in report.grid:
+        if rec.mu == (3,) and rec.n < 6:
+            assert rec.error.startswith("shape: ") and rec.oracle_dim is None
+        else:
+            lam = pad_partition(rec.mu, rec.n)
+            assert rec.oracle_dim == gram_rank_mod_p(lam, rec.p)
+
+
+def test_size_capped_cell_records_the_error_at_every_prime(monkeypatch):
+    calls = _record_oracle_calls(monkeypatch)
+    report = run_verification([(1,)], [5, 7], [6], size_cap=3)
+    assert len(calls) == 1
+    for rec in report.grid:
+        assert rec.error == "oracle: |[5,1]| = 6 exceeds the size cap 3"
+        assert rec.formula_dim is not None
+        assert rec.oracle_dim is None and rec.match is None
+    assert report.summary["errors"] == 2
+
+
+def test_composite_prime_raises_unless_the_cap_refuses_first():
+    with pytest.raises(NotPrime, match="^4 is not prime$"):
+        run_verification([(1,)], [5, 4, 6], [6])
+    # 9 > n: out of regime without a regularity check, which would raise
+    report = run_verification([(1,)], [5, 9], [6], size_cap=3)
+    assert [rec.error for rec in report.grid] == [
+        "oracle: |[5,1]| = 6 exceeds the size cap 3"
+    ] * 2
+    with pytest.raises(NotPrime, match="^9 is not prime$"):
+        run_verification([(1,)], [5, 9], [6])
 
 
 def test_grid_order_is_mu_then_p_then_n():
