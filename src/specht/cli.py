@@ -13,30 +13,42 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .decomposition import (
-    GrothendieckVector,
-    decompose_irreducible,
-    decompose_standard,
-    irreducible_dimension_table,
-    rim_hook_chain,
-)
-from .dimensions import (
-    RationalPolynomial,
-    padding_threshold,
-    specht_dimension,
-    specht_dimension_polynomial,
-)
-from .gram import DEFAULT_SIZE_CAP, format_gram_dump, gram_rank_mod_p
-from .parameters import parse_coefficients, prime_parameter_sequence
+from . import _attach
 from .partitions import (
+    DEFAULT_SIZE_CAP,
     Partition,
     format_partition,
     parse_partition,
     tail_bounded_partitions,
 )
-from .verify import run_verification
+
+if TYPE_CHECKING:
+    from .decomposition import GrothendieckVector
+    from .dimensions import RationalPolynomial
+
+# Library functions the subcommands call, by home module.  Each module is
+# imported when a subcommand first uses one of its names, so a formula
+# subcommand never loads gram or verify.  The subcommands call them as
+# attributes of this module (_cli.name), so a wrapper set on the attribute,
+# as perfbench/tracing.py sets, is the function that runs.
+_HOME = {
+    "decompose_irreducible": "decomposition",
+    "decompose_standard": "decomposition",
+    "irreducible_dimension_table": "decomposition",
+    "rim_hook_chain": "decomposition",
+    "padding_threshold": "dimensions",
+    "specht_dimension": "dimensions",
+    "specht_dimension_polynomial": "dimensions",
+    "format_gram_dump": "gram",
+    "gram_rank_mod_p": "gram",
+    "parse_coefficients": "parameters",
+    "prime_parameter_sequence": "parameters",
+    "run_verification": "verify",
+}
+_cli = sys.modules[__name__]
+__getattr__ = _attach(globals(), _HOME)
 
 _DEFAULT_VERIFY_MU = ("[]", "[1]", "[2]", "[1,1]", "[3]", "[2,1]", "[1,1,1]")
 _DEFAULT_VERIFY_P = (5, 7, 11)
@@ -58,7 +70,7 @@ def _poly_json(poly: RationalPolynomial) -> dict:
 
 def cmd_dim_specht(args: argparse.Namespace) -> int:
     lam = parse_partition(args.partition)
-    dim = specht_dimension(lam)
+    dim = _cli.specht_dimension(lam)
     if args.json:
         print(json.dumps({"partition": list(lam), "dimension": dim}))
     else:
@@ -68,8 +80,8 @@ def cmd_dim_specht(args: argparse.Namespace) -> int:
 
 def cmd_dim_poly(args: argparse.Namespace) -> int:
     mu = parse_partition(args.tail)
-    poly = specht_dimension_polynomial(mu)
-    threshold = max(padding_threshold(mu), 1)
+    poly = _cli.specht_dimension_polynomial(mu)
+    threshold = max(_cli.padding_threshold(mu), 1)
     if args.json:
         obj = {"tail": list(mu), "threshold": threshold, **_poly_json(poly)}
         print(json.dumps(obj))
@@ -80,7 +92,7 @@ def cmd_dim_poly(args: argparse.Namespace) -> int:
 
 def cmd_a_set(args: argparse.Namespace) -> int:
     lam = parse_partition(args.partition)
-    chain = rim_hook_chain(lam, args.m)
+    chain = _cli.rim_hook_chain(lam, args.m)
     if args.json:
         obj = {
             "base": list(lam),
@@ -104,7 +116,7 @@ def _print_vector(lhs: str, vec: GrothendieckVector, as_json: bool) -> None:
 
 def cmd_decompose_irr(args: argparse.Namespace) -> int:
     lam = parse_partition(args.partition)
-    vec = decompose_irreducible(lam, args.m)
+    vec = _cli.decompose_irreducible(lam, args.m)
     _print_vector(f"D{format_partition(lam)}", vec, args.json)
     return 0
 
@@ -112,14 +124,14 @@ def cmd_decompose_irr(args: argparse.Namespace) -> int:
 def cmd_decompose_std(args: argparse.Namespace) -> int:
     lam = parse_partition(args.partition)
     family = tail_bounded_partitions(sum(lam), args.k)
-    vec = decompose_standard(lam, args.m, family)
+    vec = _cli.decompose_standard(lam, args.m, family)
     _print_vector(f"S{format_partition(lam)}", vec, args.json)
     return 0
 
 
 def cmd_dim_table(args: argparse.Namespace) -> int:
     mu = parse_partition(args.tail)
-    table = irreducible_dimension_table(mu)
+    table = _cli.irreducible_dimension_table(mu)
     if args.json:
         obj = {
             "tail": list(mu),
@@ -139,10 +151,10 @@ def cmd_dim_table(args: argparse.Namespace) -> int:
 
 def cmd_gram_rank(args: argparse.Namespace) -> int:
     lam = parse_partition(args.partition)
-    rank = gram_rank_mod_p(lam, args.p, args.size_cap)
+    rank = _cli.gram_rank_mod_p(lam, args.p, args.size_cap)
     if args.dump is not None:
         with open(args.dump, "w", encoding="ascii") as fh:
-            fh.write(format_gram_dump(lam, args.p, args.size_cap))
+            fh.write(_cli.format_gram_dump(lam, args.p, args.size_cap))
     if args.json:
         print(json.dumps({"partition": list(lam), "p": args.p, "rank": rank}))
     else:
@@ -155,7 +167,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--n-min must not exceed --n-max")
     mus = [parse_partition(text) for text in (args.mu or _DEFAULT_VERIFY_MU)]
     ps = args.p or list(_DEFAULT_VERIFY_P)
-    report = run_verification(
+    report = _cli.run_verification(
         mus, ps, range(args.n_min, args.n_max + 1), size_cap=args.size_cap
     )
     if args.json:
@@ -166,8 +178,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_prime_seq(args: argparse.Namespace) -> int:
-    coeffs = parse_coefficients(args.coefficients)
-    pairs = prime_parameter_sequence(
+    coeffs = _cli.parse_coefficients(args.coefficients)
+    pairs = _cli.prime_parameter_sequence(
         coeffs, args.count, p_min=args.p_min, search_limit=args.search_limit
     )
     if args.json:

@@ -31,7 +31,7 @@ from functools import cache, lru_cache
 from math import factorial, prod
 from typing import Iterable, Sequence
 
-from .partitions import Partition, format_partition, partition
+from .partitions import DEFAULT_SIZE_CAP, Partition, format_partition, partition
 from .primes import NotPrime, is_prime
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "format_gram_dump",
 ]
 
-DEFAULT_SIZE_CAP = 16
 _MAX_COLUMN_GROUP = 10_000_000
 # Most incidence entries paired at a time in Gram assembly (a batch takes
 # about 130 bytes per entry).

@@ -17,6 +17,10 @@ from .primes import NotPrime, is_prime
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
 
+# Largest |partition| the Gram oracle accepts unless told otherwise; it lives
+# here, not in gram, so that the CLI's parser can name it without loading gram.
+DEFAULT_SIZE_CAP = 16
+
 
 class SizeMismatch(ValueError):
     """Dominance comparison of partitions of different sizes."""

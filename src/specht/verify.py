@@ -21,7 +21,7 @@ from .decomposition import (
     irreducible_dimension_formula,
 )
 from .dimensions import pad_partition
-from .gram import DEFAULT_SIZE_CAP, TooLarge, gram_ranks_mod_p
+from .gram import DEFAULT_SIZE_CAP, TooLarge, _check_prime, gram_ranks_mod_p
 from .gram import gram_rank_mod_p  # noqa: F401  a tracer boundary in perfbench/tracing.py
 from .partitions import Partition, format_partition, is_p_regular, partition
 
@@ -123,10 +123,14 @@ def run_verification(
 
     Records come out in (mu, p, n) lexicographic order (mu graded by size);
     internally the grid is walked by (mu, n) cell, and each cell's Gram
-    matrix is ranked at all its primes in one call.
+    matrix is ranked at all its primes in one call.  Every p is checked
+    before the walk (NotPrime, or ValueError past the kernel's limit), since
+    a cell whose shape does not pad never reaches the oracle.
     """
     mus = sorted({partition(mu) for mu in mu_list}, key=_mu_sort_key)
     ps = sorted(set(p_list))
+    for p in ps:
+        _check_prime(p)
     ns = sorted(set(n_values))
     by_key: dict[tuple[Partition, int, int], VerificationRecord] = {}
     for mu in mus:

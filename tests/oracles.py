@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +297,18 @@ def column_rank(a, p):
             a[below] = (a[below] - np.outer(a[below, col], a[rank])) % p
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# closed-form irreducible dimensions
+
+
+def peel_hook_dimension(n, r, p):
+    """dim D^(n-r, 1^r) over F_p by Peel's hook rule, for odd p and a
+    p-regular hook: C(n-1, r) when p does not divide n, else C(n-2, r)."""
+    assert p % 2 == 1 and 0 <= r < n
+    assert r + (n - r == 1) < p, "hook is not p-regular"
+    return comb(n - 1, r) if n % p else comb(n - 2, r)
 
 
 # ---------------------------------------------------------------------------

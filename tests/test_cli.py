@@ -180,6 +180,24 @@ def test_verify_with_a_nonprime_is_exit_2(p):
     assert (code, out, err) == (2, "", f"error: {p} is not prime\n")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--mu", "[5]", "--p", "4", "--n-min", "3", "--n-max", "4"], "4 is not prime"),
+        (["--mu", "[5]", "--p", "1", "--n-min", "3", "--n-max", "4"], "1 is not prime"),
+        (["--mu", "[5]", "--p", "0", "--n-min", "3", "--n-max", "4"], "0 is not prime"),
+        (["--mu", "3", "--p", "0", "--n-min", "2", "--n-max", "8"], "0 is not prime"),
+        (
+            ["--mu", "[5]", "--p", "2147483659", "--n-min", "3", "--n-max", "4"],
+            "p=2147483659 too large for the elimination kernel",
+        ),
+    ],
+)
+def test_verify_checks_every_prime_before_the_grid(argv, err):
+    # The first cells' shapes do not pad, so no oracle call checks p there.
+    assert run_cli("verify", *argv) == (2, "", f"error: {err}\n")
+
+
 def test_size_cap_is_exit_3():
     code, _, err = run_cli("gram-rank", "[9,8]", "5")
     assert code == 3
@@ -317,41 +335,53 @@ def test_cli_output_is_byte_deterministic():
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import specht, specht.cli
-seen = []
-for argv in json.loads(sys.argv[1]):
+code = None
+if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = specht.cli.main(argv)
-    seen.append([argv, code, "numpy" in sys.modules])
-print(json.dumps(seen))
+        code = specht.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
+_NO_ORACLE = ("gram", "verify")
+_DIMENSIONS_ONLY = ("gram", "verify", "decomposition", "parameters")
+# argv, exit code, library modules it must not load.
 _FORMULA_CALLS = [
-    (["dim-specht", "[7,4,2]"], 0),
-    (["dim-poly", "[3,1]", "--json"], 0),
-    (["dim-table", "[2,2,1]"], 0),
-    (["a-set", "[6,2,1]", "4"], 0),
-    (["decompose-irr", "[7,2,1]", "5"], 0),
-    (["decompose-std", "[6,2,1]", "4", "3"], 0),
-    (["prime-seq", "1,0,1", "20"], 0),
-    (["dim-specht", "[2,x]"], 2),
-    (["gram-rank", "[20]", "5"], 3),  # over the size cap
-    (["gram-rank", "[2,1]", "6"], 2),  # composite modulus
-    (["gram-rank", "[2,1]", "2147483659"], 2),  # a prime past the kernel's limit
+    ([], None, _DIMENSIONS_ONLY),  # the import alone
+    (["dim-specht", "[7,4,2]"], 0, _DIMENSIONS_ONLY),
+    (["dim-poly", "[3,1]", "--json"], 0, _DIMENSIONS_ONLY),
+    (["dim-table", "[2,2,1]"], 0, _NO_ORACLE),
+    (["a-set", "[6,2,1]", "4"], 0, _NO_ORACLE),
+    (["decompose-irr", "[7,2,1]", "5"], 0, _NO_ORACLE),
+    (["decompose-std", "[6,2,1]", "4", "3"], 0, _NO_ORACLE),
+    (["prime-seq", "1,0,1", "20"], 0, ("gram", "verify", "decomposition", "dimensions")),
+    (["dim-specht", "[2,x]"], 2, _DIMENSIONS_ONLY),
+    (["gram-rank", "[20]", "5"], 3, ("verify",)),  # over the size cap
+    (["gram-rank", "[2,1]", "6"], 2, ("verify",)),  # composite modulus
+    (["gram-rank", "[2,1]", "2147483659"], 2, ("verify",)),  # a prime past the kernel's limit
 ]
 
 
-def test_numpy_is_loaded_only_by_gram_work():
-    # In a fresh interpreter: tier-1 itself has numpy loaded already.
-    calls = [argv for argv, _ in _FORMULA_CALLS] + [["gram-rank", "[2,1]", "3"]]
+def _probe_imports(argv):
+    """Exit code and sys.modules after one CLI call in a fresh interpreter
+    (tier-1 itself has every module loaded already)."""
     src = pathlib.Path(sys.modules["specht"].__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
         capture_output=True,
         env=env,
         check=True,
     )
-    seen = json.loads(proc.stdout)
-    assert seen[:-1] == [[argv, code, False] for argv, code in _FORMULA_CALLS]
-    assert seen[-1] == [["gram-rank", "[2,1]", "3"], 0, True]
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+def test_numpy_is_loaded_only_by_gram_work():
+    """And a formula call loads none of the oracle's modules."""
+    for argv, code, unused in _FORMULA_CALLS:
+        got, modules = _probe_imports(argv)
+        loaded = {name for name in unused if f"specht.{name}" in modules}
+        assert (got, loaded, "numpy" in modules) == (code, set(), False), argv
+    code, modules = _probe_imports(["gram-rank", "[2,1]", "3"])
+    assert (code, "numpy" in modules, "specht.verify" in modules) == (0, True, False)

@@ -265,6 +265,19 @@ def test_dimension_formula_positivity():
                     assert value.denominator == 1 and value > 0, (mu, m, n)
 
 
+def test_dimension_formula_matches_peels_hook_rule():
+    """(1^k) tails inside the window p > k, n > 4k, at odd p < 30."""
+    for k in range(5):
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29):
+            if p <= k:
+                continue
+            for m in range(p):
+                poly = irreducible_dimension_formula((1,) * k, m)
+                for n in range(4 * k + 1, 201):
+                    if n % p == m:
+                        assert poly(n) == oracles.peel_hook_dimension(n, k, p), (k, p, n)
+
+
 def test_dimension_table_for_two_box_tail():
     table = irreducible_dimension_table((2,))
     assert sorted(table.cases) == [1, 2]

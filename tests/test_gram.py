@@ -657,6 +657,20 @@ def test_hook_family_check_rejects_tiny_n():
         irreducible_dim_hook_family_check(2, 5)
 
 
+def test_gram_rank_matches_peels_hook_rule():
+    """Every p-regular hook (n - r, 1^r) with n <= 12, r <= 5 at odd p."""
+    records = 0
+    for p in (3, 5, 7, 11):
+        for n in range(2, 13):
+            for r in range(min(5, n - 1) + 1):
+                if r + (n - r == 1) >= p:
+                    continue  # p-singular
+                lam = (n - r,) + (1,) * r
+                assert gram_rank_mod_p(lam, p) == oracles.peel_hook_dimension(n, r, p), (lam, p)
+                records += 1
+    assert records == 191
+
+
 # ---------------------------------------------------------------------------
 # dump format
 

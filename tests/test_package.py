@@ -1,0 +1,59 @@
+"""The package's lazy public names, and the CLI's lazily bound functions."""
+
+import importlib
+import pathlib
+import runpy
+
+import pytest
+
+import specht
+import specht.cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BOUNDARIES = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))["BOUNDARIES"]
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in specht.__all__:
+        home = importlib.import_module(f"specht.{specht._HOME[name]}")
+        assert getattr(specht, name) is getattr(home, name), name
+
+
+def test_star_import_and_dir_cover_all():
+    namespace = {}
+    exec("from specht import *", namespace)
+    assert set(specht.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(specht, name) for name in specht.__all__)
+    assert set(specht.__all__) <= set(dir(specht))
+
+
+@pytest.mark.parametrize("module", [specht, specht.cli])
+def test_unknown_name_is_an_attribute_error(module):
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        getattr(module, "nope")
+
+
+# A call that reaches each specht.cli function the tracer wraps.
+_TRACED_CALLS = {
+    "run_verification": ["verify", "--mu", "[1]", "--p", "5", "--n-min", "6", "--n-max", "6"],
+    "irreducible_dimension_table": ["dim-table", "[2]"],
+    "rim_hook_chain": ["a-set", "[5,2]", "2"],
+    "specht_dimension_polynomial": ["dim-poly", "[2]"],
+    "prime_parameter_sequence": ["prime-seq", "1,0,1", "3"],
+}
+
+
+def test_a_patched_cli_attribute_is_what_main_calls(monkeypatch):
+    traced = {attr for module, attr, _ in BOUNDARIES if module == "specht.cli"}
+    assert traced - {"main"} == set(_TRACED_CALLS)
+    for attr, argv in _TRACED_CALLS.items():
+        original = getattr(specht.cli, attr)
+        calls = []
+
+        def recorder(*args, original=original, calls=calls, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(specht.cli, attr, recorder)
+        assert specht.cli.main(argv) == 0, argv
+        assert len(calls) == 1, attr

@@ -109,16 +109,19 @@ def test_size_capped_cell_records_the_error_at_every_prime(monkeypatch):
     assert report.summary["errors"] == 2
 
 
-def test_composite_prime_raises_unless_the_cap_refuses_first():
+def test_every_prime_is_checked_before_the_grid(monkeypatch):
+    calls = _record_oracle_calls(monkeypatch)
     with pytest.raises(NotPrime, match="^4 is not prime$"):
         run_verification([(1,)], [5, 4, 6], [6])
-    # 9 > n: out of regime without a regularity check, which would raise
-    report = run_verification([(1,)], [5, 9], [6], size_cap=3)
-    assert [rec.error for rec in report.grid] == [
-        "oracle: |[5,1]| = 6 exceeds the size cap 3"
-    ] * 2
+    # Neither a size cap that refuses every cell nor a shape that never pads
+    # lets a bad p through.
     with pytest.raises(NotPrime, match="^9 is not prime$"):
-        run_verification([(1,)], [5, 9], [6])
+        run_verification([(1,)], [5, 9], [6], size_cap=3)
+    with pytest.raises(NotPrime, match="^0 is not prime$"):
+        run_verification([(5,)], [0], [3, 4])
+    with pytest.raises(ValueError, match="too large for the elimination kernel"):
+        run_verification([(5,)], [2147483659], [3, 4])
+    assert calls == []
 
 
 def test_grid_order_is_mu_then_p_then_n():
