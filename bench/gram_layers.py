@@ -8,12 +8,15 @@ fresh interpreter imports numpy, then times three layers through the module
 attributes of ``specht.gram``: ``_standard_tableaux`` (tableaux),
 ``_gram_matrix_cached`` (polytabloids or incidence matrix, then assembly)
 and ``modular_rank`` on the assembled matrix (elimination, per prime).  On
-the JOINT_SHAPES it then ranks the cached matrix at the grid's primes
-5, 7, 11 twice: one ``gram_rank_mod_p`` call per prime, and one
-``gram_ranks_mod_p`` call for all three where the checkout has it (the
+the JOINT_SHAPES it then ranks the assembled matrix at the grid's primes
+5, 7, 11 twice: one ``modular_rank`` call per prime, and one
+``modular_ranks`` call for all three where the checkout has it (the
 ``joint`` row).  A second fresh interpreter
 per (shape, prime) times ``gram_rank_mod_p`` end to end, which is the path
-users take, and reports its peak RSS.  Each figure is the median of K runs,
+users take, and reports its peak RSS.  A third, per JOINT_CALLS entry, times
+one ``gram_ranks_mod_p`` call (assembly and elimination; numpy imported
+before the clock) and reports its peak RSS: the grid's shapes, and
+(14,2,1,1), d = 7 020, at |mu| = 4.  Each figure is the median of K runs,
 the checkouts taking turns run by run.
 Results are merged into the output file under NAME, next to the machine
 description, the checkout's git commit and whether its src/ differs from
@@ -42,6 +45,10 @@ PRIMES = (3, 5, 7, 11, 8388617)
 # The primes of the criterion-3 grid, and its largest shape with two larger ones.
 JOINT_PRIMES = (5, 7, 11)
 JOINT_SHAPES = ((11, 2, 1), (10, 2, 2), (10, 3, 1))
+# One gram_ranks_mod_p call each, in a fresh interpreter: (shape, primes, size cap).
+JOINT_CALLS = tuple((lam, JOINT_PRIMES, 16) for lam in JOINT_SHAPES) + (
+    ((14, 2, 1, 1), (5, 7, 11, 13), 18),
+)
 
 
 def _layers(lam: tuple[int, ...]) -> dict:
@@ -68,10 +75,10 @@ def _layers(lam: tuple[int, ...]) -> dict:
     }
     if lam in JOINT_SHAPES:
         start = time.perf_counter()
-        per_prime = {p: gram.gram_rank_mod_p(lam, p) for p in JOINT_PRIMES}
+        per_prime = {p: gram.modular_rank(matrix, p) for p in JOINT_PRIMES}
         middle = time.perf_counter()
-        one_call = getattr(gram, "gram_ranks_mod_p", None)
-        joint = one_call(lam, JOINT_PRIMES) if one_call else per_prime
+        one_call = getattr(gram, "modular_ranks", None)
+        joint = one_call(matrix, JOINT_PRIMES) if one_call else per_prime
         out["joint"] = {
             "per_prime_s": middle - start,
             "one_call_s": time.perf_counter() - middle if one_call else None,
@@ -90,6 +97,21 @@ def _end_to_end(lam: tuple[int, ...], p: int) -> dict:
     wall = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {"wall_s": wall, "rank": rank, "peak_rss_mb": peak}
+
+
+def _joint_call(lam: tuple[int, ...], primes: tuple[int, ...], size_cap: int) -> dict:
+    import resource
+
+    import numpy  # noqa: F401  before the clock, as in _layers
+
+    from specht import gram
+
+    start = time.perf_counter()
+    ranks = gram.gram_ranks_mod_p(lam, primes, size_cap)
+    wall = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    d = len(gram.standard_tableaux(lam, size_cap))
+    return {"d": d, "wall_s": wall, "rank": ranks, "peak_rss_mb": peak}
 
 
 def _child(checkout: str, argv: list[str]) -> dict:
@@ -125,7 +147,9 @@ def _interleaved(checkouts: dict[str, str], argv: list[str], repeat: int) -> dic
     return runs
 
 
-def measure(checkouts: dict[str, str], repeat: int) -> dict:
+def measure(checkouts: dict[str, str], repeat: int) -> tuple[dict, dict]:
+    """Per checkout: the per-shape layer and end-to-end figures, and the
+    JOINT_CALLS figures."""
     shapes: dict[str, dict] = {name: {} for name in checkouts}
     # JSON turns the prime keys into strings.
     primes = [str(p) for p in PRIMES]
@@ -159,7 +183,21 @@ def measure(checkouts: dict[str, str], repeat: int) -> dict:
                 }
             shapes[name]["[" + spec + "]"] = entry
         print(f"{lam} done", file=sys.stderr)
-    return shapes
+    calls: dict[str, dict] = {name: {} for name in checkouts}
+    for lam, primes, size_cap in JOINT_CALLS:
+        spec = ",".join(map(str, lam))
+        argv = ["joint", spec, ",".join(map(str, primes)), str(size_cap)]
+        for name, runs in _interleaved(checkouts, argv, repeat).items():
+            calls[name]["[" + spec + "]"] = {
+                "d": runs[0]["d"],
+                "primes": list(primes),
+                "size_cap": size_cap,
+                "wall_s": _median(runs, "wall_s"),
+                "peak_rss_mb": _median(runs, "peak_rss_mb"),
+                "rank": runs[0]["rank"],
+            }
+        print(f"{lam} joint call done", file=sys.stderr)
+    return shapes, calls
 
 
 def _git(checkout: str, *args: str) -> str:
@@ -188,6 +226,12 @@ def disagreements(runs: dict) -> list[str]:
             }
             if len(set().union(*ranks.values())) > 1:
                 out.append(f"{spec} mod {p}: ranks differ: {ranks}")
+    for spec in next(iter(runs.values()))["joint_calls"]:
+        calls = {name: run["joint_calls"][spec] for name, run in runs.items()}
+        for key in ("d", "rank"):
+            values = {name: call[key] for name, call in calls.items()}
+            if len({json.dumps(v, sort_keys=True) for v in values.values()}) > 1:
+                out.append(f"{spec} joint call: {key} differs: {values}")
     return out
 
 
@@ -197,6 +241,9 @@ def main() -> None:
         lam = tuple(int(x) for x in spec.split(","))
         if kind == "layers":
             result = _layers(lam)
+        elif kind == "joint":
+            primes = tuple(int(p) for p in sys.argv[4].split(","))
+            result = _joint_call(lam, primes, int(sys.argv[5]))
         else:
             result = _end_to_end(lam, int(sys.argv[4]))
         print(json.dumps(result))
@@ -223,10 +270,14 @@ def main() -> None:
         "primes": list(PRIMES),
         "joint_shapes": [list(lam) for lam in JOINT_SHAPES],
         "joint_primes": list(JOINT_PRIMES),
+        "joint_calls": [
+            {"shape": list(lam), "primes": list(primes), "size_cap": cap}
+            for lam, primes, cap in JOINT_CALLS
+        ],
     }
     runs = report.setdefault("runs", {})
     checkouts = dict(item.partition("=")[::2] for item in args.src)
-    shapes = measure(checkouts, args.repeat)
+    shapes, calls = measure(checkouts, args.repeat)
     measured = {}
     for name, checkout in checkouts.items():
         runs[name] = measured[name] = {
@@ -235,6 +286,7 @@ def main() -> None:
             "src_modified": bool(_git(checkout, "status", "--porcelain", "--", "src")),
             "repeat": args.repeat,
             "shapes": shapes[name],
+            "joint_calls": calls[name],
         }
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     problems = disagreements(measured)

@@ -11,15 +11,19 @@ the column stabilizer as arrays.  Each tabloid adds the k x k block of
 sign products of the k entries reaching it, exact in int32 because every
 entry and partial sum is at most the column group order |C_t| <= 10**7,
 taken in batches of whole tabloid classes so that memory stays bounded.
-One matrix serves every prime: it is reduced mod N only inside the
-elimination kernel, a blocked elimination (panels of columns, one Schur
-update each) on residues in [0, N), with N a prime or a product of primes
-ranked together.  It pivots on units mod N only; a column with nonzero
-residues but no unit is deferred, and each prime ranks the deferred
-columns' leftover block alone.  It is exact while a residue minus a panel's
-worth of products of two residues stays below 2**53 in float64 (BLAS,
-panels of _PANEL columns, N <= 8388593) or below 2**63 in int64 (a larger
-prime, below 2**31, with panels as wide as that allows).
+Each call builds a new matrix and owns it: nothing is cached, and the rank
+path reduces it mod N in place, N a prime or a product of primes ranked
+together, so the matrix is the only d x d array a rank call holds (4d^2
+bytes; a group of primes ranked before the last one, which happens only
+past the float bound, takes an int32 residue copy).  The elimination kernel is blocked (panels of columns, one Schur
+update each) on those int32 residues in [0, N); only its panel factors L
+and U and one Schur block at a time are float64, or int64 past the float
+bound.  It pivots on units mod N only; a column with nonzero residues but
+no unit is deferred, and each prime ranks the deferred columns' leftover
+block alone.  It is exact while a residue minus a panel's worth of products
+of two residues stays below 2**53 in float64 (BLAS, panels of _PANEL
+columns, N <= 8388593) or below 2**63 in int64 (a larger prime, below
+2**31, with panels as wide as that allows).  Every modulus fits in int32.
 
 numpy is imported inside the functions that build or reduce arrays, so
 importing this module does not load it; the first Gram or rank call does.
@@ -27,7 +31,7 @@ importing this module does not load it; the first Gram or rank call does.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from math import factorial, prod
 from typing import Iterable, Sequence
 
@@ -179,9 +183,10 @@ def polytabloid(tableau: StandardTableau) -> dict[Tabloid, int]:
     return out
 
 
-@lru_cache(maxsize=12)
 def _gram_matrix_cached(lam: Partition) -> np.ndarray:
-    """Read-only int32 Gram matrix G = E E^T of the standard polytabloids.
+    """Int32 Gram matrix G = E E^T of the standard polytabloids, a new
+    array on every call that the caller owns and may overwrite (the rank
+    path reduces it in place); despite the name, nothing is cached.
 
     E is the signed incidence matrix: row i holds polytabloid i, one +/-1
     per tabloid it reaches.  An entry (g, i) of E, group element g acting
@@ -208,7 +213,6 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
     gram = np.zeros((d, d), dtype=np.int32)
     if n == 0:  # the empty shape: one tableau, one tabloid
         gram[0, 0] = 1
-        gram.flags.writeable = False
         return gram
     # cell_of[i, v]: the index in cells of the cell holding entry v + 1 of tableau i
     where = [[t[r][c] - 1 for r, c in cells] for t in tableaux]
@@ -247,7 +251,6 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
             tableau.append(np.tile(members, len(g)))
             sign.append(np.repeat(signs[g], len(members)))
         _add_pairs(gram, *map(np.concatenate, (labels, tableau, sign)))
-    gram.flags.writeable = False
     return gram
 
 
@@ -322,9 +325,18 @@ def _float_exact(n: int) -> bool:
     return _PANEL * (n - 1) ** 2 + n - 1 < 1 << 53
 
 
+def _checked(primes: Iterable[int]) -> list[int]:
+    """The distinct primes in order, each checked by _check_prime."""
+    primes = list(dict.fromkeys(primes))
+    for p in primes:
+        _check_prime(p)
+    return primes
+
+
 def modular_ranks(rows: Sequence[Sequence[int]], primes: Iterable[int]) -> dict[int, int]:
     """Rank over F_p of an integer matrix at each prime p; ValueError if it
-    is not one.
+    is not one.  The rows are left as they are: each group of primes ranks
+    a new int32 array of residues.
 
     The primes, in increasing order, are grouped greedily while their
     product N keeps _PANEL * (N-1)**2 + N - 1 below 2**53, and each group
@@ -334,10 +346,15 @@ def modular_ranks(rows: Sequence[Sequence[int]], primes: Iterable[int]) -> dict[
     panel up to _PANEL that keeps panel * (p-1)**2 + p - 1 below 2**63
     (9 at 10**9 + 7, 2 at 2**31 - 1).
     """
-    primes = list(dict.fromkeys(primes))
-    for p in primes:
-        _check_prime(p)
-    a = _integer_matrix(rows)
+    primes = _checked(primes)
+    return _ranks(_integer_matrix(rows), primes, in_place=False)
+
+
+def _ranks(a: np.ndarray, primes: list[int], in_place: bool) -> dict[int, int]:
+    """modular_ranks of an integer array at checked primes.  With in_place,
+    a is an int32 array the caller gives up: the last group reduces it in
+    place, and only the groups before it (primes past the float bound)
+    take a residue copy each."""
     if a.size == 0:
         return dict.fromkeys(primes, 0)
     groups: list[tuple[int, ...]] = []
@@ -347,36 +364,51 @@ def modular_ranks(rows: Sequence[Sequence[int]], primes: Iterable[int]) -> dict[
         else:
             groups.append((p,))
     ranks = {}
-    for group in groups:
-        ranks.update(_group_ranks(a, group))
+    for i, group in enumerate(groups):
+        n = prod(group)
+        if in_place and i == len(groups) - 1:
+            a %= n
+            ranks.update(_group_ranks(a, group))
+        else:
+            ranks.update(_group_ranks(_residues(a, n), group))
     return {p: ranks[p] for p in primes}
 
 
+def _residues(a: np.ndarray, n: int) -> np.ndarray:
+    """A new int32 array of a mod n, for 0 < n < 2**31; a is left as it is."""
+    import numpy as np
+
+    # Reduce in the narrowest type that holds both the entries and n, and
+    # store the residues, which fit int32, straight into the new array.
+    kind = np.promote_types(a.dtype, np.min_scalar_type(n))
+    out = np.empty(a.shape, dtype=np.int32)
+    return np.remainder(a, n, out=out, dtype=kind, casting="unsafe")
+
+
 def _group_ranks(a: np.ndarray, group: tuple[int, ...]) -> dict[int, int]:
-    """Rank of a nonempty integer matrix at each prime of the group, from
-    one elimination over Z/N, N the product of the group: its pivots count
-    at every prime, and each prime ranks the leftover block on its own."""
+    """Rank at each prime of the group of a nonempty int32 array of
+    residues mod N, the product of the group, from one elimination over
+    Z/N that overwrites a: its pivots count at every prime, and each prime
+    ranks the leftover block on its own."""
     import numpy as np
 
     n = prod(group)
-    # Reduce in the narrowest type that holds both the entries and n.
-    a = np.mod(a, n, dtype=np.promote_types(a.dtype, np.min_scalar_type(n)))
     if _float_exact(n):
-        rank, leftover = _blocked_rank(a.astype(np.float64), group, _PANEL)
+        rank, leftover = _blocked_rank(a, group, _PANEL, np.float64)
     else:
         panel = min(_PANEL, ((1 << 63) - n) // (n - 1) ** 2)
-        rank, leftover = _blocked_rank(a.astype(np.int64), group, panel)
+        rank, leftover = _blocked_rank(a, group, panel, np.int64)
     if leftover.size == 0:  # always for a prime
         return dict.fromkeys(group, rank)
-    return {q: rank + _group_ranks(leftover, (q,))[q] for q in group}
+    return {q: rank + _group_ranks(_residues(leftover, q), (q,))[q] for q in group}
 
 
 def _blocked_rank(
-    a: np.ndarray, primes: tuple[int, ...], panel: int
+    a: np.ndarray, primes: tuple[int, ...], panel: int, dtype: type
 ) -> tuple[int, np.ndarray]:
     """Right-looking blocked elimination over Z/n, n the product of the
-    primes, of a matrix of residues held as float64 or int64: the number of
-    pivots, and the leftover block.
+    primes, of an int32 array of residues, which it overwrites: the number
+    of pivots, and the leftover block (a view of a).
 
     Each panel of `panel` columns is reduced column by column against the
     pivots found so far in it (left-looking), the first unit residue as
@@ -386,16 +418,18 @@ def _blocked_rank(
     deferred: it is swapped with the last column not yet deferred, U's
     columns with it, so it sits right of every later pivot column and each
     later Schur update reaches it; it is never examined again.  The other
-    rows get one Schur update a[rest, b:] - L[rest] U[:, b:], and the pivot
-    rows are dropped.  A unit mod n is a unit mod each prime q | n, so the
-    rank mod q is the pivot count plus the rank mod q of the leftover: the
-    surviving rows on the deferred columns (none for a prime n).
+    rows get one Schur update a[rest, b:] - L[rest] U[:, b:], a block of
+    _PANEL rows at a time, and the pivot rows are dropped.  A unit mod n is
+    a unit mod each prime q | n, so the rank mod q is the pivot count plus
+    the rank mod q of the leftover: the surviving rows on the deferred
+    columns (none for a prime n).
 
-    Each result is cast to int64 and reduced, so every stored value is a
-    residue: before that it is a residue minus at most `panel` products of
-    two, so it and every partial sum lie within panel * (n-1)**2 + n - 1,
-    which modular_ranks keeps below 2**53 for float64 and below 2**63 for
-    int64.
+    L, U and each Schur block are `dtype`, float64 or int64; numpy casts the
+    int32 residues inside each mixed operation.  Each result is cast to
+    int64 and reduced, so every stored value is a residue: before that it
+    is a residue minus at most `panel` products of two, so it and every
+    partial sum lie within panel * (n-1)**2 + n - 1, which modular_ranks
+    keeps below 2**53 for float64 and below 2**63 for int64.
     """
     import numpy as np
 
@@ -409,8 +443,8 @@ def _blocked_rank(
     while True:  # until the panel reaches the deferred columns, or no row is left
         m, w = a.shape
         b = min(panel, w - deferred)
-        lower = np.zeros((m, b), dtype=a.dtype)
-        upper = np.zeros((b, w), dtype=a.dtype)
+        lower = np.zeros((m, b), dtype=dtype)
+        upper = np.zeros((b, w), dtype=dtype)
         pivots: list[int] = []
         j = 0
         while j < b:
@@ -489,13 +523,12 @@ def gram_ranks_mod_p(
     lam: Partition, primes: Iterable[int], size_cap: int = DEFAULT_SIZE_CAP
 ) -> dict[int, int]:
     """Rank of the Gram matrix over F_p at each prime p, from one
-    elimination per group of primes (see modular_ranks).  Checks the size
-    cap, then each prime, before the matrix is built."""
+    elimination per group of primes (see modular_ranks), which reduces the
+    new matrix in place.  Checks the size cap, then each prime, before the
+    matrix is built."""
     lam = _check_cap(lam, size_cap)
-    primes = list(primes)
-    for p in primes:
-        _check_prime(p)
-    return modular_ranks(_gram_matrix_cached(lam), primes)
+    primes = _checked(primes)
+    return _ranks(_gram_matrix_cached(lam), primes, in_place=True)
 
 
 def gram_rank_rational(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> int:
@@ -545,7 +578,9 @@ def format_gram_dump(lam: Partition, p: int, size_cap: int = DEFAULT_SIZE_CAP) -
     of d residues, space-separated."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    mat = gram_matrix(lam, size_cap)
-    lines = [f"{len(mat)} {p}"]
-    lines += [" ".join(str(v % p) for v in row) for row in mat]
-    return "\n".join(lines) + "\n"
+    gram = _gram_matrix_cached(_check_cap(lam, size_cap))
+    lines = [f"{len(gram)} {p}"]
+    for row in gram:  # one row of Python ints at a time, not d**2 of them
+        lines.append(" ".join([str(v % p) for v in row.tolist()]))
+    lines.append("")  # the final newline
+    return "\n".join(lines)

@@ -311,6 +311,30 @@ def peel_hook_dimension(n, r, p):
     return comb(n - 1, r) if n % p else comb(n - 2, r)
 
 
+def contains_p(a, b, p):
+    """James's relation "a contains_p b": every base-p digit of b is 0 or
+    equals the digit of a in the same place."""
+    while b:
+        if b % p not in (0, a % p):
+            return False
+        a, b = a // p, b // p
+    return True
+
+
+def james_two_part_dimension(n, m, p):
+    """dim D^(n-m, m) over F_p by James's two-part theorem (James, The
+    Representation Theory of the Symmetric Groups, LNM 682, Thm 24.15):
+    [S^(n-k,k) : D^(n-j,j)] = 1 when n - 2j + 1 contains_p k - j, else 0.
+    dim S^(n-k,k) = C(n,k) - C(n,k-1), solved for dim D from k = 0 upward."""
+    assert 0 <= 2 * m <= n and (2 * m < n or p > 2), "(n-m, m) is not p-regular"
+    dims = []
+    for k in range(m + 1):
+        specht = comb(n, k) - (comb(n, k - 1) if k else 0)
+        below = sum(dims[j] for j in range(k) if contains_p(n - 2 * j + 1, k - j, p))
+        dims.append(specht - below)
+    return dims[m]
+
+
 # ---------------------------------------------------------------------------
 # prime divisors by trial division
 

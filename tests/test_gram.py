@@ -117,14 +117,18 @@ def test_gram_matrices_are_symmetric_with_positive_diagonal(n):
 )
 def test_gram_matrix_is_the_polytabloid_pairing(lam):
     polys = [oracles.polytabloid(t) for t in standard_tableaux(lam)]
-    expected = [
+    g = gram_matrix(lam)
+    assert g == _pairing_matrix(polys)
+    assert all(type(x) is int for row in g for x in row)
+    assert [polytabloid(t) for t in standard_tableaux(lam)] == polys
+
+
+def _pairing_matrix(polys):
+    """The Gram matrix of the polytabloids, tabloids orthonormal."""
+    return [
         [sum(v * f.get(tabloid, 0) for tabloid, v in e.items()) for f in polys]
         for e in polys
     ]
-    g = gram_matrix(lam)
-    assert g == expected
-    assert all(type(x) is int for row in g for x in row)
-    assert [polytabloid(t) for t in standard_tableaux(lam)] == polys
 
 
 @pytest.mark.parametrize(
@@ -167,11 +171,7 @@ def test_gram_matrix_assembled_in_batches(monkeypatch, lam, fraction, pairs):
     monkeypatch.setattr(gram_mod, "_MAX_ENTRIES", max(entries // fraction, 1))
     if pairs:
         monkeypatch.setattr(gram_mod, "_PAIRS", pairs)
-    gram_mod._gram_matrix_cached.cache_clear()
-    try:
-        assert gram_matrix(lam) == expected
-    finally:
-        gram_mod._gram_matrix_cached.cache_clear()
+    assert gram_matrix(lam) == expected
     assert max(sizes) <= max(gram_mod._PAIRS, max(reach.values()))
     assert sum(sizes) == sum(k * k for k in reach.values())
 
@@ -284,13 +284,14 @@ def _float_path_primes(b):
 
 
 def _record_kernel(monkeypatch):
-    """Wrap _blocked_rank; the returned list gets (element type, panel) per call."""
+    """Wrap _blocked_rank; the returned list gets (arithmetic type, panel) per call."""
     calls = []
     blocked_rank = gram_mod._blocked_rank
 
-    def record(a, p, panel):
-        calls.append((a.dtype, panel))
-        return blocked_rank(a, p, panel)
+    def record(a, p, panel, dtype):
+        assert a.dtype == np.int32  # the residues; dtype is the arithmetic
+        calls.append((dtype, panel))
+        return blocked_rank(a, p, panel, dtype)
 
     monkeypatch.setattr(gram_mod, "_blocked_rank", record)
     return calls
@@ -441,9 +442,10 @@ def _record_moduli(monkeypatch):
     moduli = []
     blocked_rank = gram_mod._blocked_rank
 
-    def record(a, primes, panel):
+    def record(a, primes, panel, dtype):
+        assert a.dtype == np.int32
         moduli.append(math.prod(primes))
-        return blocked_rank(a, primes, panel)
+        return blocked_rank(a, primes, panel, dtype)
 
     monkeypatch.setattr(gram_mod, "_blocked_rank", record)
     return moduli
@@ -554,6 +556,66 @@ def test_joint_ranks_of_10_2():
     """d = 54, of full rank mod 7 only.  Deferring a column without swapping
     its U entries along with it gives 48 mod 5."""
     assert gram_ranks_mod_p((10, 2), (5, 7, 11)) == {5: 43, 7: 54, 11: 53}
+
+
+RANKS_OF_10_2 = {5: 43, 7: 54, 11: 53, 8388617: 54}
+
+
+@pytest.mark.parametrize("kind", ["int32", "int64", "list", "read-only"])
+@pytest.mark.parametrize("primes", [(5, 7, 11), (5, 7, 8388617)], ids=str)
+def test_rank_calls_leave_the_matrix_unchanged(monkeypatch, kind, primes):
+    """(10,2) has columns without a unit mod 385, deferred and ranked per
+    prime; 8388617 is a second group, past the float bound."""
+    g = gram_matrix((10, 2))
+    if kind == "list":
+        rows = [row[:] for row in g]
+    else:
+        rows = np.array(g, dtype=np.int64 if kind == "int64" else np.int32)
+        rows.flags.writeable = kind != "read-only"
+    moduli = _record_moduli(monkeypatch)
+    assert modular_ranks(rows, primes) == {p: RANKS_OF_10_2[p] for p in primes}
+    assert 5 in moduli  # deferred columns, ranked mod 5 alone
+    for p in primes:
+        assert modular_rank(rows, p) == RANKS_OF_10_2[p]
+    assert (rows if kind == "list" else rows.tolist()) == g
+
+
+@pytest.mark.parametrize("primes", [(5, 7, 11), (5, 7, 8388617)], ids=str)
+def test_gram_ranks_share_no_matrix_between_calls(primes):
+    """gram_ranks_mod_p reduces its matrix in place; the next caller still
+    gets the exact Gram matrix."""
+    lam = (10, 2)
+    expected = _pairing_matrix([oracles.polytabloid(t) for t in standard_tableaux(lam)])
+    for _ in range(2):
+        assert gram_ranks_mod_p(lam, primes) == {p: RANKS_OF_10_2[p] for p in primes}
+        assert gram_matrix(lam) == expected
+
+
+def test_rank_call_holds_one_int32_matrix():
+    """Traced peak of a joint rank call: the d x d int32 matrix (4d^2 bytes)
+    plus at most 41 d _PANEL bytes.  The elimination's first panel holds
+    L (d x _PANEL) and U (_PANEL x d) in float64, 16 d _PANEL bytes, and
+    one Schur block of _PANEL rows at a time: the float64 difference, its
+    int64 cast and the int64 residues, 24 d _PANEL bytes (the int32 rows
+    and float64 product it starts from, 12 d _PANEL, are freed before the
+    cast).  1 d _PANEL covers the O(d) column vectors.  Gram assembly of
+    (11,2,1) peaks lower, at about 4d^2 + 18 d _PANEL.  The tableaux and
+    the column group are cached across calls, so they are built first.
+    A float64 copy of the matrix (8d^2, 2.5 MB here) beside those
+    temporaries would exceed the bound."""
+    import tracemalloc
+
+    lam, primes = (11, 2, 1), (5, 7, 11)
+    d = len(standard_tableaux(lam))
+    gram_mod._column_group(lam)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert gram_ranks_mod_p(lam, primes) == {5: 560, 7: 560, 11: 482}
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert d == 560 and peak <= 4 * d * d + 41 * d * gram_mod._PANEL
 
 
 def test_gram_ranks_check_the_cap_then_each_prime_before_assembly(monkeypatch):
@@ -671,6 +733,20 @@ def test_gram_rank_matches_peels_hook_rule():
     assert records == 191
 
 
+def test_gram_rank_matches_james_two_part_theorem():
+    """Every p-regular two-part shape (n - m, m) with n <= 14, each shape
+    ranked at all its primes in one call."""
+    records = 0
+    for n in range(2, 15):
+        for m in range(1, n // 2 + 1):
+            primes = [p for p in (2, 3, 5, 7, 11, 13) if 2 * m < n or p > 2]
+            ranks = gram_ranks_mod_p((n - m, m), primes)
+            for p in primes:
+                assert ranks[p] == oracles.james_two_part_dimension(n, m, p), (n, m, p)
+                records += 1
+    assert records == 287
+
+
 # ---------------------------------------------------------------------------
 # dump format
 
@@ -680,3 +756,13 @@ def test_gram_dump_format():
     assert text.splitlines() == ["2 3", "2 1", "1 2"]
     text5 = format_gram_dump((2, 1), 5)
     assert text5.splitlines()[0] == "2 5"
+
+
+@pytest.mark.parametrize("p", [5, 2**61 - 1])
+def test_gram_dump_is_the_matrix_mod_p(p):
+    """d = 162, with negative entries: the residues of gram_matrix, byte for byte."""
+    lam = (5, 3, 1)
+    g = gram_matrix(lam)
+    assert len(g) == 162 and min(map(min, g)) < 0
+    lines = [f"{len(g)} {p}"] + [" ".join(str(v % p) for v in row) for row in g]
+    assert format_gram_dump(lam, p) == "\n".join(lines) + "\n"
