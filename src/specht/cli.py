@@ -15,7 +15,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from . import _attach
+from . import _HOME, _attach
 from .partitions import (
     DEFAULT_SIZE_CAP,
     Partition,
@@ -28,25 +28,10 @@ if TYPE_CHECKING:
     from .decomposition import GrothendieckVector
     from .dimensions import RationalPolynomial
 
-# Library functions the subcommands call, by home module.  Each module is
-# imported when a subcommand first uses one of its names, so a formula
-# subcommand never loads gram or verify.  The subcommands call them as
-# attributes of this module (_cli.name), so a wrapper set on the attribute,
-# as perfbench/tracing.py sets, is the function that runs.
-_HOME = {
-    "decompose_irreducible": "decomposition",
-    "decompose_standard": "decomposition",
-    "irreducible_dimension_table": "decomposition",
-    "rim_hook_chain": "decomposition",
-    "padding_threshold": "dimensions",
-    "specht_dimension": "dimensions",
-    "specht_dimension_polynomial": "dimensions",
-    "format_gram_dump": "gram",
-    "gram_rank_mod_p": "gram",
-    "parse_coefficients": "parameters",
-    "prime_parameter_sequence": "parameters",
-    "run_verification": "verify",
-}
+# Library functions resolve through the package's name table on first use,
+# so a formula subcommand never loads gram or verify.  Subcommands call them
+# as _cli.name, so a wrapper set on the attribute, as perfbench/tracing.py
+# sets, is the function that runs.
 _cli = sys.modules[__name__]
 __getattr__ = _attach(globals(), _HOME)
 

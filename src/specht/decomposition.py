@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .dimensions import (
     RationalPolynomial,
+    _signed_sum,
     first_row_residues,
     pad_partition,
     padding_threshold,
@@ -182,18 +183,10 @@ class GrothendieckVector:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for (label, part), coeff in self.items():
-            term = f"{label}{format_partition(part)}"
-            if abs(coeff) != 1:
-                term = f"{abs(coeff)}*{term}"
-            if not chunks:
-                chunks.append(term if coeff > 0 else "-" + term)
-            else:
-                chunks.append(("+ " if coeff > 0 else "- ") + term)
-        return " ".join(chunks)
+        return _signed_sum(
+            (coeff, f"{label}{format_partition(part)}")
+            for (label, part), coeff in self.items()
+        )
 
     def __repr__(self) -> str:
         return f"GrothendieckVector({self._terms!r})"
@@ -230,10 +223,10 @@ def decompose_standard(
 ) -> GrothendieckVector:
     """Expand the Specht class of ``lam`` into irreducible classes over ``family``.
 
-    Forms the unitriangular integer matrix whose rows are the irreducible
-    expansions of the family members and inverts it exactly over the
-    integers. FamilyIncomplete when ``lam`` or any chain member is missing
-    from the family.
+    The irreducible expansions of the family members are the rows of a
+    unitriangular integer matrix; the answer is ``lam``'s row of its inverse,
+    solved for alone by back substitution. FamilyIncomplete when ``lam`` or
+    any chain member is missing from the family.
     """
     lam = partition(lam)
     n = sum(lam)
@@ -246,28 +239,25 @@ def decompose_standard(
     index = {nu: i for i, nu in enumerate(fam)}
     if lam not in index:
         raise FamilyIncomplete(f"{format_partition(lam)} is not in the family")
-    size = len(fam)
-    mat = [[0] * size for _ in range(size)]
-    for nu, i in index.items():
+    rows: list[dict[int, int]] = []  # rows[i][j]: the S[fam[j]] term of D[fam[i]]
+    for nu in fam:
+        row = {}
         for (_label, part), coeff in decompose_irreducible(nu, m).items():
             if part not in index:
                 raise FamilyIncomplete(
                     f"chain member {format_partition(part)} of "
                     f"{format_partition(nu)} is outside the family"
                 )
-            mat[i][index[part]] = coeff
-    # Unit lower-triangular in decreasing-lex order: invert by forward substitution.
-    inv = [[0] * size for _ in range(size)]
-    for i in range(size):
-        inv[i][i] = 1
-        for j in range(i):
-            s = sum(mat[i][t] * inv[t][j] for t in range(j, i))
-            if s:
-                inv[i][j] = -s
-    row = inv[index[lam]]
-    return GrothendieckVector(
-        {(IRREDUCIBLE, fam[j]): row[j] for j in range(size) if row[j]}
-    )
+            row[index[part]] = coeff
+        rows.append(row)
+    # Chain members dominate, so come first: the rows M are unit lower-triangular.
+    # lam's row x of M^-1 solves x M = e_lam, by back substitution from lam up.
+    x = [0] * index[lam] + [1]
+    for i in range(index[lam], -1, -1):
+        for j, coeff in rows[i].items():
+            if j < i:
+                x[j] -= x[i] * coeff
+    return GrothendieckVector({(IRREDUCIBLE, fam[j]): c for j, c in enumerate(x)})
 
 
 def _chain_tails(mu: Partition, m: int, n: int) -> tuple[Partition, ...]:

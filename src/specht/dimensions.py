@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import prod
 from typing import Iterable, Union
 
 from .partitions import Partition, conjugate, hook_lengths, partition
@@ -36,11 +36,25 @@ class EmptyPartition(ValueError):
 
 
 def specht_dimension(lam: Partition) -> int:
-    """Number of standard tableaux of the shape, by the hook length formula."""
+    """Number of standard tableaux of the shape: the hook length formula with
+    the first row's hooks written out (module docstring), cheap for any n."""
     lam = partition(lam)
     if not lam:
         raise EmptyPartition("dimension of the empty partition is undefined")
-    return factorial(sum(lam)) // prod(hook_lengths(lam).values())
+    shifts, hooks = _first_row_form(lam[1:])
+    return prod(sum(lam) - i for i in shifts) // hooks
+
+
+def _signed_sum(terms: Iterable[tuple[Union[Fraction, int], str]]) -> str:
+    """The sum of the c*x, as ``1/2*n^2 - n + 1``: terms with c = 0 dropped,
+    a magnitude 1 written only where x is empty, "0" for no terms."""
+    text = ""
+    for c, x in terms:
+        if c:
+            mag = abs(c)
+            term = x if mag == 1 and x else f"{mag}*{x}" if x else str(mag)
+            text += (" + " if c > 0 else " - ") + term
+    return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 class RationalPolynomial:
@@ -109,24 +123,10 @@ class RationalPolynomial:
 
     def __str__(self) -> str:
         """Lowest-terms rendering, descending degree: ``1/2*n^2 - 5/2*n + 1``."""
-        if not self.coefficients:
-            return "0"
-        chunks: list[str] = []
-        for deg in range(self.degree, -1, -1):
-            c = self.coefficients[deg]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if deg == 0:
-                term = str(mag)
-            else:
-                var = "n" if deg == 1 else f"n^{deg}"
-                term = var if mag == 1 else f"{mag}*{var}"
-            if not chunks:
-                chunks.append(term if c > 0 else "-" + term)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(chunks)
+        return _signed_sum(
+            (self.coefficients[deg], "" if deg == 0 else "n" if deg == 1 else f"n^{deg}")
+            for deg in range(self.degree, -1, -1)
+        )
 
 
 def padding_threshold(mu: Partition) -> int:
@@ -153,13 +153,20 @@ def first_row_residues(mu: Partition) -> tuple[int, ...]:
     return tuple(k + j - 1 - col for j, col in enumerate(conjugate(mu), 1))
 
 
+def _first_row_form(mu: Partition) -> tuple[list[int], int]:
+    """The shifts i, 0 <= i < |mu| + mu_1 with i not in R(mu), and H(mu):
+    dim S^(n - |mu|, mu) = prod(n - i) / H(mu) past the threshold."""
+    skip = set(first_row_residues(mu))
+    shifts = [i for i in range(padding_threshold(mu)) if i not in skip]
+    return shifts, prod(hook_lengths(mu).values())
+
+
 @cache
 def _dimension_polynomial(mu: Partition) -> RationalPolynomial:
-    skip = set(first_row_residues(mu))
-    poly = RationalPolynomial((Fraction(1, prod(hook_lengths(mu).values())),))
-    for i in range(padding_threshold(mu)):
-        if i not in skip:
-            poly = poly * RationalPolynomial((-i, 1))
+    shifts, hooks = _first_row_form(mu)
+    poly = RationalPolynomial((Fraction(1, hooks),))
+    for i in shifts:
+        poly = poly * RationalPolynomial((-i, 1))
     return poly
 
 

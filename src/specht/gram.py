@@ -149,13 +149,12 @@ def _column_group(
     # row sum_j g_j * prod_{k > j} |col_k|! of targets, the first column
     # varying slowest.  Each column's block is filled through a broadcast
     # view (before, |col|!, after, cells), so targets is the only large array.
+    # A partition's column holds rows 0..|col| - 1, so its perms are the rows.
     targets = np.empty((order, len(cells)), dtype=np.uint8)
     signs = np.ones(order, dtype=np.int8)
     before, start = 1, 0
     for col in columns:
         perms, perm_signs = _signed_perms(len(col))
-        if col != list(range(len(col))):  # never, for a partition
-            perms = np.asarray(col, dtype=np.uint8)[perms]
         after = order // (before * len(perms))
         block = targets.reshape(before, len(perms), after, len(cells))
         block[..., start : start + len(col)] = perms[:, None]
@@ -303,15 +302,6 @@ def _integer_matrix(rows: Sequence[Sequence[int]]) -> np.ndarray:
     return a
 
 
-def _check_prime(p: int) -> None:
-    """NotPrime unless p is prime; ValueError unless p < 2**31, the
-    elimination kernel's limit."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if p >= 1 << 31:
-        raise ValueError(f"p={p} too large for the elimination kernel")
-
-
 def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank over F_p of an integer matrix; ValueError if it is not one.
 
@@ -326,10 +316,14 @@ def _float_exact(n: int) -> bool:
 
 
 def _checked(primes: Iterable[int]) -> list[int]:
-    """The distinct primes in order, each checked by _check_prime."""
+    """The distinct primes in order; NotPrime for one that is not prime, and
+    ValueError for one past 2**31 - 1, the elimination kernel's limit."""
     primes = list(dict.fromkeys(primes))
     for p in primes:
-        _check_prime(p)
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        if p >= 1 << 31:
+            raise ValueError(f"p={p} too large for the elimination kernel")
     return primes
 
 
@@ -538,16 +532,17 @@ def gram_rank_rational(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     nonzero mod p is nonzero over Z, so rank_Q >= rank_Fp, and rank_Q <= d,
     the number of rows.  So rank_Fp = d proves rank_Q = d.  F_p S_n is
     semisimple for p > n, so the form is nondegenerate and the certificate
-    always holds; fraction-free elimination remains as the fallback.
+    always holds; were it ever to fail, RuntimeError, never a rank from
+    another method.
     """
     lam = _check_cap(lam, size_cap)
     gram = _gram_matrix_cached(lam)
     p = sum(lam) + 1
     while not is_prime(p):
         p += 1
-    if modular_rank(gram, p) == len(gram):
-        return len(gram)
-    return integer_rank(gram)
+    if modular_rank(gram, p) != len(gram):
+        raise RuntimeError(f"rank certificate of {format_partition(lam)} mod {p} failed")
+    return len(gram)
 
 
 def irreducible_dim_hook_family_check(n: int, p: int) -> tuple[int, int]:
@@ -561,7 +556,7 @@ def irreducible_dim_hook_family_check(n: int, p: int) -> tuple[int, int]:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    _check_prime(p)
+    _checked((p,))
     diffs = [[0] * n for _ in range(n - 1)]
     for i in range(n - 1):
         diffs[i][i] = 1

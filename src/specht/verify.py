@@ -12,8 +12,8 @@ a failed comparison. Per-record failures never abort the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Sequence
 
 from .decomposition import (
     NotTotallyOrdered,
@@ -21,7 +21,7 @@ from .decomposition import (
     irreducible_dimension_formula,
 )
 from .dimensions import pad_partition
-from .gram import DEFAULT_SIZE_CAP, TooLarge, _check_prime, gram_ranks_mod_p
+from .gram import DEFAULT_SIZE_CAP, TooLarge, _checked, gram_ranks_mod_p
 from .gram import gram_rank_mod_p  # noqa: F401  a tracer boundary in perfbench/tracing.py
 from .partitions import Partition, format_partition, is_p_regular, partition
 
@@ -43,19 +43,8 @@ class VerificationRecord:
     error: str | None = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "mu": list(self.mu),
-            "p": self.p,
-            "n": self.n,
-            "m": self.m,
-            "k": self.k,
-            "hypothesis": self.hypothesis,
-            "in_regime": self.in_regime,
-            "formula_dim": self.formula_dim,
-            "oracle_dim": self.oracle_dim,
-            "match": self.match,
-            "error": self.error,
-        }
+        """The fields as a JSON object, keys in field order."""
+        return {**asdict(self), "mu": list(self.mu)}
 
 
 @dataclass
@@ -128,16 +117,10 @@ def run_verification(
     a cell whose shape does not pad never reaches the oracle.
     """
     mus = sorted({partition(mu) for mu in mu_list}, key=_mu_sort_key)
-    ps = sorted(set(p_list))
-    for p in ps:
-        _check_prime(p)
+    ps = _checked(sorted(set(p_list)))
     ns = sorted(set(n_values))
-    by_key: dict[tuple[Partition, int, int], VerificationRecord] = {}
-    for mu in mus:
-        for n in ns:
-            for rec in _cell_records(mu, n, ps, size_cap):
-                by_key[(mu, rec.p, n)] = rec
-    grid = [by_key[(mu, p, n)] for mu in mus for p in ps for n in ns]
+    cells = {(mu, n): _cell_records(mu, n, ps, size_cap) for mu in mus for n in ns}
+    grid = [cells[mu, n][i] for mu in mus for i in range(len(ps)) for n in ns]
     summary = {
         "records": len(grid),
         "in_regime": sum(1 for r in grid if r.in_regime),

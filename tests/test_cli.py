@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -36,6 +37,13 @@ def test_dim_specht_text():
     code, out, _ = run_cli("dim-specht", "[5,2]")
     assert code == 0
     assert out == "dim S[5,2] = 14\n"
+
+
+def test_dim_specht_of_a_long_first_row_is_immediate():
+    start = time.perf_counter()
+    code, out, _ = run_cli("dim-specht", "[1000000]")
+    assert (code, out) == (0, "dim S[1000000] = 1\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_dim_poly_text():

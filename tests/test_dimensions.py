@@ -17,6 +17,7 @@ from specht import (
     EmptyPartition,
     RationalPolynomial,
     conjugate,
+    hook_lengths,
     pad_partition,
     padding_threshold,
     partitions_of,
@@ -40,10 +41,25 @@ from specht import (
         ((1, 1, 1, 1), 1),
         ((4, 3, 1), 70),
         ((2, 2), 2),
+        ((10**6,), 1),
+        ((10**8, 1), 10**8),
+        ((1,) * 200, 1),
     ],
 )
 def test_specht_dimension_examples(lam, dim):
     assert specht_dimension(lam) == dim
+
+
+def _hook_quotient(lam):
+    """n! / prod(hooks), independent of the first-row form both
+    specht_dimension and the polynomials use."""
+    return math.factorial(sum(lam)) // math.prod(hook_lengths(lam).values())
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_specht_dimension_is_the_hook_length_quotient(n):
+    for lam in partitions_of(n):
+        assert specht_dimension(lam) == _hook_quotient(lam), lam
 
 
 def test_specht_dimension_rejects_empty():
@@ -152,7 +168,7 @@ def test_dimension_polynomial_matches_hook_formula_pointwise(size):
         poly = specht_dimension_polynomial(mu)
         start = max(padding_threshold(mu), 1)
         for n in range(start, start + 12):
-            assert poly(n) == specht_dimension(pad_partition(mu, n)), (mu, n)
+            assert poly(n) == _hook_quotient(pad_partition(mu, n)), (mu, n)
 
 
 @pytest.mark.parametrize("mu", [(20,), (30,), (10, 10, 10), (5, 4, 3, 2, 1)])
@@ -162,4 +178,4 @@ def test_dimension_polynomial_of_large_tails(mu):
     assert poly.degree == sum(mu)
     start = padding_threshold(mu)
     for n in range(start, start + sum(mu) + 1):
-        assert poly(n) == specht_dimension(pad_partition(mu, n)), (mu, n)
+        assert poly(n) == _hook_quotient(pad_partition(mu, n)), (mu, n)

@@ -680,10 +680,11 @@ def test_rank_never_exceeds_dimension(n):
             assert gram_rank_mod_p(lam, p) <= specht_dimension(lam)
 
 
-def test_rational_rank_falls_back_to_exact_elimination(monkeypatch):
+def test_rational_rank_raises_on_a_failed_certificate(monkeypatch):
     # A failed certificate (rank mod p below d) must not be trusted.
     monkeypatch.setattr(gram_mod, "modular_rank", lambda rows, p: 0)
-    assert gram_rank_rational((3, 2)) == 5
+    with pytest.raises(RuntimeError, match=r"rank certificate of \[3,2\] mod 7 failed"):
+        gram_rank_rational((3, 2))
 
 
 def test_gram_rank_size_cap():

@@ -17,6 +17,8 @@ def test_every_public_name_is_its_home_modules_object():
     for name in specht.__all__:
         home = importlib.import_module(f"specht.{specht._HOME[name]}")
         assert getattr(specht, name) is getattr(home, name), name
+        # The CLI resolves library names through the same table.
+        assert getattr(specht.cli, name) is getattr(home, name), name
 
 
 def test_star_import_and_dir_cover_all():

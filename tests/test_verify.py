@@ -1,5 +1,7 @@
 """The formula-vs-oracle verification grid."""
 
+import json
+
 import pytest
 
 import specht.verify as verify_mod
@@ -147,6 +149,31 @@ def test_json_shape():
     assert rec["mu"] == [] and rec["p"] == 5 and rec["n"] == 6
     assert rec["match"] is True
     assert obj["summary"]["records"] == 1
+    # The record's fields, in declaration order, fix both the keys and the bytes.
+    assert list(rec) == [
+        "mu",
+        "p",
+        "n",
+        "m",
+        "k",
+        "hypothesis",
+        "in_regime",
+        "formula_dim",
+        "oracle_dim",
+        "match",
+        "error",
+    ]
+    assert json.dumps(rec) == (
+        '{"mu": [], "p": 5, "n": 6, "m": 1, "k": 0, "hypothesis": true, '
+        '"in_regime": true, "formula_dim": 1, "oracle_dim": 1, "match": true, '
+        '"error": null}'
+    )
+    errored = run_verification([(2, 1)], [5], [4]).to_json_obj()["grid"][0]
+    assert json.dumps(errored) == (
+        '{"mu": [2, 1], "p": 5, "n": 4, "m": 4, "k": 3, "hypothesis": false, '
+        '"in_regime": false, "formula_dim": null, "oracle_dim": null, "match": null, '
+        '"error": "shape: n=4 is below the padding threshold for tail (2, 1)"}'
+    )
 
 
 def test_render_text():
