@@ -26,7 +26,7 @@ from .dimensions import (
 from .partitions import (
     Dominance,
     Partition,
-    addable_rim_hooks,
+    _strips_added,
     dominance_compare,
     format_partition,
     partition,
@@ -101,8 +101,9 @@ def rim_hook_chain(lam: Partition, m: int) -> RimHookChain:
         raise SizeError(f"residue m={m} must satisfy 0 <= m < {n}")
     found = {lam}
     h = n - m
+    # nu dominating lam has at most len(lam) rows, so len(lam) beads hold it.
     for _anchor, rest in removable_rim_hooks(lam, h):
-        for nu in addable_rim_hooks(rest, h):
+        for nu in _strips_added(rest, h, len(lam)):
             if nu != lam and dominance_compare(nu, lam) is Dominance.GREATER:
                 found.add(nu)
     elems = sorted(found, reverse=True)  # lex order refines dominance

@@ -315,14 +315,14 @@ def _float_exact(n: int) -> bool:
     return _PANEL * (n - 1) ** 2 + n - 1 < 1 << 53
 
 
-def _checked(primes: Iterable[int]) -> list[int]:
-    """The distinct primes in order; NotPrime for one that is not prime, and
-    ValueError for one past 2**31 - 1, the elimination kernel's limit."""
+def _checked(primes: Iterable[int], kernel: bool = True) -> list[int]:
+    """The distinct primes in order; NotPrime for one that is not prime and,
+    for the elimination ``kernel``, ValueError for one past its 2**31 - 1."""
     primes = list(dict.fromkeys(primes))
     for p in primes:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
-        if p >= 1 << 31:
+        if kernel and p >= 1 << 31:
             raise ValueError(f"p={p} too large for the elimination kernel")
     return primes
 
@@ -570,9 +570,8 @@ def irreducible_dim_hook_family_check(n: int, p: int) -> tuple[int, int]:
 
 def format_gram_dump(lam: Partition, p: int, size_cap: int = DEFAULT_SIZE_CAP) -> str:
     """Plain-text dump of the mod-p Gram matrix: first line "d p", then d rows
-    of d residues, space-separated."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    of d residues, space-separated; any prime, as it reduces Python ints."""
+    _checked((p,), kernel=False)
     gram = _gram_matrix_cached(_check_cap(lam, size_cap))
     lines = [f"{len(gram)} {p}"]
     for row in gram:  # one row of Python ints at a time, not d**2 of them

@@ -4,6 +4,10 @@ Partitions are plain tuples of weakly decreasing positive integers (no
 trailing zeros), so they hash, compare and serialize like values. Cells are
 1-based ``(row, col)`` pairs. Everything here is a pure function; it is
 safe to call from multiple threads.
+
+Rim hooks live on an abacus: on r >= len(lam) rows, row t (0-based) holds
+the bead lam_t + r - 1 - t. A border strip of size h is one bead moved by h
+onto a free value, down to remove the strip and up to add it.
 """
 
 from __future__ import annotations
@@ -139,6 +143,12 @@ def hook_lengths(lam: Partition) -> dict[Cell, int]:
     }
 
 
+def _moved(beads: set[int], old: int, new: int) -> Partition:
+    """The partition of ``beads`` with ``old`` moved to the free value ``new``."""
+    moved = sorted((beads - {old}) | {new}, reverse=True)
+    return partition(v - (len(moved) - 1 - t) for t, v in enumerate(moved))
+
+
 def removable_rim_hooks(lam: Partition, h: int) -> list[tuple[Cell, Partition]]:
     """All ways to peel a border strip of size ``h`` off the rim.
 
@@ -147,43 +157,32 @@ def removable_rim_hooks(lam: Partition, h: int) -> list[tuple[Cell, Partition]]:
     Degenerate ``h`` (nonpositive, or larger than the diagram) gives ``[]``.
     """
     lam = partition(lam)
-    if h <= 0 or h > sum(lam):
+    if h <= 0:
         return []
-    conj = conjugate(lam)
-    out = []
-    for (i, j), hook in sorted(hook_lengths(lam).items()):
-        if hook != h:
-            continue
-        bottom = conj[j - 1]  # last row of the strip
-        parts = list(lam)
-        for t in range(i, bottom):  # 1-based rows i..bottom-1 shift up, minus one
-            parts[t - 1] = lam[t] - 1
-        parts[bottom - 1] = j - 1
-        out.append(((i, j), partition(parts)))
-    return out
+    beads = [part + len(lam) - 1 - t for t, part in enumerate(lam)]
+    taken = set(beads)
+    # Row i's cells are the free values below its bead b, in increasing order,
+    # so the anchor's column is one more than the free values below b - h.
+    return [
+        ((i, 1 + b - h - sum(c < b - h for c in beads)), _moved(taken, b, b - h))
+        for i, b in enumerate(beads, 1)
+        if b - h >= 0 and b - h not in taken
+    ]
+
+
+def _strips_added(mu: Partition, h: int, rows: int) -> list[Partition]:
+    """``mu`` plus an ``h``-strip, each way that fits on ``rows`` >= len(mu) beads."""
+    taken = {(mu[t] if t < len(mu) else 0) + rows - 1 - t for t in range(rows)}
+    return [_moved(taken, b, b + h) for b in taken if b + h not in taken]
 
 
 def addable_rim_hooks(mu: Partition, h: int) -> list[Partition]:
-    """All partitions obtained from ``mu`` by adding a border strip of size ``h``.
-
-    Works on first-column hook lengths (beta-numbers): adding an ``h``-strip
-    shifts one beta-number up by ``h`` onto a free value. Decreasing
-    lexicographic order.
-    """
+    """All partitions obtained from ``mu`` by adding a border strip of size ``h``,
+    on len(mu) + h beads (the strip adds up to ``h`` rows), decreasing lex."""
     mu = partition(mu)
     if h <= 0:
         return []
-    rows = len(mu) + h
-    beta = [(mu[t] if t < len(mu) else 0) + (rows - 1 - t) for t in range(rows)]
-    taken = set(beta)
-    results = set()
-    for b in beta:
-        nb = b + h
-        if nb in taken:
-            continue
-        shifted = sorted((taken - {b}) | {nb}, reverse=True)
-        results.add(partition(v - (rows - 1 - t) for t, v in enumerate(shifted)))
-    return sorted(results, reverse=True)
+    return sorted(_strips_added(mu, h, len(mu) + h), reverse=True)
 
 
 def is_p_regular(lam: Partition, p: int) -> bool:

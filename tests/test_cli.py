@@ -46,6 +46,25 @@ def test_dim_specht_of_a_long_first_row_is_immediate():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (("a-set", "[999998,2]", "2"), "A([999998,2], m=2):\n  [999999,1]\n  [999998,2]\n"),
+        (("decompose-irr", "[999998,2]", "2"), "D[999998,2] = S[999998,2] - S[999999,1]\n"),
+        (
+            ("decompose-std", "[999998,2]", "2", "3"),
+            "S[999998,2] = D[999998,2] + D[999999,1]\n",
+        ),
+    ],
+    ids=["a-set", "decompose-irr", "decompose-std"],
+)
+def test_chains_of_a_long_first_row_are_immediate(argv, want):
+    start = time.perf_counter()
+    code, out, _ = run_cli(*argv)
+    assert (code, out) == (0, want)
+    assert time.perf_counter() - start < 1
+
+
 def test_dim_poly_text():
     code, out, _ = run_cli("dim-poly", "[2]")
     assert code == 0

@@ -10,6 +10,7 @@ from specht import (
     Dominance,
     FamilyIncomplete,
     GrothendieckVector,
+    NotTotallyOrdered,
     SizeError,
     conjugate,
     decompose_irreducible,
@@ -92,10 +93,28 @@ def test_incomparable_candidates_abort():
     Here (3,2,1) loses a 3-hook either at (1,2) (leaving (1,1,1), re-add
     (4,1,1)) or at (2,1) (leaving (3), re-add (3,3)); (4,1,1) and (3,3) are
     incomparable."""
-    from specht import NotTotallyOrdered
-
     with pytest.raises(NotTotallyOrdered):
         rim_hook_chain((3, 2, 1), 3)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_chain_matches_brute_strip_reference(n):
+    """The chain is lam plus every nu above lam that re-adds an (n - m)-strip
+    to a remainder of lam, with both strips found by cell-set inspection."""
+    for lam in partitions_of(n):
+        for m in range(n):
+            try:
+                got = set(rim_hook_chain(lam, m).elements)
+            except NotTotallyOrdered:
+                continue
+            h = n - m
+            want = {lam} | {
+                nu
+                for mu in oracles.strip_removals(lam, h)
+                for nu in oracles.strip_additions(mu, h)
+                if nu != lam and oracles.dominates(nu, lam)
+            }
+            assert got == want, (lam, m)
 
 
 def test_chain_prefix_property_in_the_stable_range():
@@ -352,11 +371,19 @@ def test_table_cases_are_the_first_row_hook_residues(mu):
     "mu", [mu for mu in TAILS_UP_TO_8 if sum(mu) <= 7], ids=format_partition
 )
 def test_chain_tails_do_not_move_past_the_stable_bound(mu):
+    """Also at the source paper's limit taken literally, n = p + m with p up
+    to about 10**6, where the formula must equal the alternating Specht sum."""
     for m in range(2 * sum(mu) + 4):
         n = _stable_n(mu, m)
         tails = _chain_tails(mu, m, n)
         assert _chain_tails(mu, m, n + 1) == tails, m
         assert _chain_tails(mu, m, n + 7) == tails, m
+        for p in (1009, 65537, 999983):
+            assert _chain_tails(mu, m, p + m) == tails, (m, p)
+            if sum(mu) <= 4:
+                terms = decompose_irreducible(pad_partition(mu, p + m), m).items()
+                brute = sum(c * specht_dimension(part) for (_, part), c in terms)
+                assert irreducible_dimension_formula(mu, m)(p + m) == brute, (m, p)
 
 
 def test_render_table():

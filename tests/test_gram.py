@@ -656,8 +656,13 @@ def test_gram_ranks_at_grid_sizes(lam, ranks):
 
 
 def test_gram_rank_requires_prime():
-    with pytest.raises(NotPrime):
-        gram_rank_mod_p((2, 1), 4)
+    """The dump shares the check; it needs no kernel, so not the 2**31 bound."""
+    for call in (gram_rank_mod_p, format_gram_dump):
+        with pytest.raises(NotPrime, match="^4 is not prime$"):
+            call((2, 1), 4)
+    with pytest.raises(ValueError, match="too large"):
+        gram_rank_mod_p((2, 1), 2147483659)
+    assert format_gram_dump((2, 1), 2147483659).splitlines()[0] == "2 2147483659"
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -238,11 +238,18 @@ def test_removable_addable_duality(n):
 
 
 def test_removable_anchors_are_cells_with_matching_hook():
-    for lam in [(5, 2), (4, 3, 1), (6, 6, 2, 1)]:
+    """The anchor comes from counting free beads; it must be exactly the
+    cells with hook length h, in (row, col) order."""
+    shapes = [lam for n in range(1, 11) for lam in partitions_of(n)] + [(6, 6, 2, 1)]
+    for lam in shapes:
         hooks = hook_lengths(lam)
         for h in range(1, sum(lam) + 1):
-            for anchor, _ in removable_rim_hooks(lam, h):
-                assert hooks[anchor] == h
+            anchors = [anchor for anchor, _ in removable_rim_hooks(lam, h)]
+            assert anchors == sorted(cell for cell, hook in hooks.items() if hook == h)
+
+
+def test_removable_rim_hook_of_a_long_row_is_immediate():
+    assert removable_rim_hooks((10**6,), 10**6) == [((1, 1), ())]
 
 
 # ---------------------------------------------------------------------------
