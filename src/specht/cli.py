@@ -138,8 +138,10 @@ def cmd_gram_rank(args: argparse.Namespace) -> int:
     lam = parse_partition(args.partition)
     rank = _cli.gram_rank_mod_p(lam, args.p, args.size_cap)
     if args.dump is not None:
+        from .gram import _gram_dump_lines
+
         with open(args.dump, "w", encoding="ascii") as fh:
-            fh.write(_cli.format_gram_dump(lam, args.p, args.size_cap))
+            fh.writelines(_gram_dump_lines(lam, args.p, args.size_cap))
     if args.json:
         print(json.dumps({"partition": list(lam), "p": args.p, "rank": rank}))
     else:

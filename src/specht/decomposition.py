@@ -106,7 +106,12 @@ def rim_hook_chain(lam: Partition, m: int) -> RimHookChain:
         for nu in _strips_added(rest, h, len(lam)):
             if nu != lam and dominance_compare(nu, lam) is Dominance.GREATER:
                 found.add(nu)
-    elems = sorted(found, reverse=True)  # lex order refines dominance
+    # Lex order refines dominance, so the set is a chain when each element
+    # dominates the next; otherwise name the first incomparable pair.
+    elems = sorted(found, reverse=True)
+    neighbours = zip(elems, elems[1:])
+    if all(dominance_compare(a, b) is Dominance.GREATER for a, b in neighbours):
+        return RimHookChain(tuple(elems), m)
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             if dominance_compare(elems[i], elems[j]) is Dominance.INCOMPARABLE:

@@ -32,8 +32,8 @@ importing this module does not load it; the first Gram or rank call does.
 from __future__ import annotations
 
 from functools import cache
-from math import factorial, prod
-from typing import Iterable, Sequence
+from math import factorial, isqrt, prod
+from typing import Iterable, Iterator, Sequence
 
 from .partitions import DEFAULT_SIZE_CAP, Partition, format_partition, partition
 from .primes import NotPrime, is_prime
@@ -64,6 +64,8 @@ _MAX_ENTRIES = 1 << 20
 _PAIRS = 1 << 18
 # Columns per elimination panel.
 _PANEL = 128
+# The largest prime that _float_exact admits.
+_FLOAT_PRIME = 8388593
 
 StandardTableau = tuple[tuple[int, ...], ...]
 Tabloid = tuple[tuple[int, ...], ...]
@@ -474,33 +476,25 @@ def _blocked_rank(
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank over Q of an integer matrix; ValueError if it is not one.
 
-    Fraction-free (Bareiss) elimination: every intermediate entry is a minor
-    of the original matrix, so the divisions below are exact in Python ints.
+    The largest rank mod the primes from _FLOAT_PRIME down, until it is full
+    or their product exceeds B = ((isqrt(w) + 1) * max|a_ij|)**m, a is m x w.
+    Exact: no rank mod p exceeds the rank r over Q, and a nonzero r x r minor
+    M has 0 < |M| <= B (Hadamard's inequality), so some prime used does not
+    divide M, and mod that prime the rank is r.
     """
-    a = _integer_matrix(rows).tolist()
-    if not a or not a[0]:
+    a = _integer_matrix(rows)
+    if a.size == 0:
         return 0
-    nrows, ncols = len(a), len(a[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        piv = next((r for r in range(rank, nrows) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pivot_row = a[rank]
-        pivot = pivot_row[col]
-        for r in range(rank + 1, nrows):
-            row = a[r]
-            factor = row[col]
-            for j in range(col + 1, ncols):
-                row[j] = (pivot * row[j] - factor * pivot_row[j]) // prev
-            row[col] = 0
-        prev = pivot
-        rank += 1
-    return rank
+    m, w = a.shape
+    bound = ((isqrt(w) + 1) * max(int(a.max()), -int(a.min()))) ** m
+    rank, product = 0, 1
+    for p in range(_FLOAT_PRIME, 2, -2):
+        if is_prime(p):
+            rank = max(rank, modular_rank(a, p))
+            product *= p
+            if rank == min(m, w) or product > bound:
+                return rank
+    raise ValueError("entries too large for an exact rank")
 
 
 def gram_rank_mod_p(lam: Partition, p: int, size_cap: int = DEFAULT_SIZE_CAP) -> int:
@@ -526,23 +520,18 @@ def gram_ranks_mod_p(
 
 
 def gram_rank_rational(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> int:
-    """Rank of the Gram matrix over the rationals (characteristic zero).
-
-    Certified by one rank mod p, at the least prime p > n: a minor that is
-    nonzero mod p is nonzero over Z, so rank_Q >= rank_Fp, and rank_Q <= d,
-    the number of rows.  So rank_Fp = d proves rank_Q = d.  F_p S_n is
-    semisimple for p > n, so the form is nondegenerate and the certificate
-    always holds; were it ever to fail, RuntimeError, never a rank from
-    another method.
+    """Rank of the Gram matrix over the rationals (characteristic zero),
+    by integer_rank.  F_p S_n is semisimple for p > n, so the first prime,
+    _FLOAT_PRIME > n, gives full rank d in one elimination; any other rank
+    is a fault: RuntimeError, never that rank.
     """
     lam = _check_cap(lam, size_cap)
     gram = _gram_matrix_cached(lam)
-    p = sum(lam) + 1
-    while not is_prime(p):
-        p += 1
-    if modular_rank(gram, p) != len(gram):
-        raise RuntimeError(f"rank certificate of {format_partition(lam)} mod {p} failed")
-    return len(gram)
+    rank = integer_rank(gram)
+    if rank != len(gram):
+        lam_s = format_partition(lam)
+        raise RuntimeError(f"rank of {lam_s} over Q is {rank}, not {len(gram)}")
+    return rank
 
 
 def irreducible_dim_hook_family_check(n: int, p: int) -> tuple[int, int]:
@@ -571,10 +560,13 @@ def irreducible_dim_hook_family_check(n: int, p: int) -> tuple[int, int]:
 def format_gram_dump(lam: Partition, p: int, size_cap: int = DEFAULT_SIZE_CAP) -> str:
     """Plain-text dump of the mod-p Gram matrix: first line "d p", then d rows
     of d residues, space-separated; any prime, as it reduces Python ints."""
+    return "".join(_gram_dump_lines(lam, p, size_cap))
+
+
+def _gram_dump_lines(lam: Partition, p: int, size_cap: int) -> Iterator[str]:
+    """The lines of format_gram_dump, each with its newline, one at a time."""
     _checked((p,), kernel=False)
     gram = _gram_matrix_cached(_check_cap(lam, size_cap))
-    lines = [f"{len(gram)} {p}"]
+    yield f"{len(gram)} {p}\n"
     for row in gram:  # one row of Python ints at a time, not d**2 of them
-        lines.append(" ".join([str(v % p) for v in row.tolist()]))
-    lines.append("")  # the final newline
-    return "\n".join(lines)
+        yield " ".join([str(v % p) for v in row.tolist()]) + "\n"

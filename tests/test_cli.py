@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from specht import GrothendieckVector
+from specht import GrothendieckVector, format_gram_dump, format_partition
 from specht.cli import main
 
 
@@ -21,6 +21,15 @@ def run_cli(*args):
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         code = main(list(args))
     return code, buf.getvalue(), err.getvalue()
+
+
+def _child_env():
+    """The environment with the source tree of the imported package first on
+    PYTHONPATH, so that a child interpreter imports the same package."""
+    src = pathlib.Path(sys.modules["specht"].__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
 
 
 def run_json(*args):
@@ -306,6 +315,7 @@ def test_max_residue_option_is_rejected():
     proc = subprocess.run(
         [sys.executable, "-m", "specht", "dim-table", "[3,3,3]", "--max-residue", "1"],
         capture_output=True,
+        env=_child_env(),
     )
     assert proc.returncode == 2
     assert proc.stdout == b""
@@ -322,6 +332,15 @@ def test_gram_rank_dump(tmp_path):
     code, out, _ = run_cli("gram-rank", "[2,1]", "3", "--dump", str(target))
     assert code == 0
     assert target.read_text().splitlines() == ["2 3", "2 1", "1 2"]
+
+
+@pytest.mark.parametrize("lam", [(5, 2), (4, 2, 1)], ids=format_partition)
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_gram_rank_dump_is_format_gram_dump(tmp_path, lam, p):
+    target = tmp_path / "gram.txt"
+    code, _, _ = run_cli("gram-rank", format_partition(lam), str(p), "--dump", str(target))
+    assert code == 0
+    assert target.read_bytes() == format_gram_dump(lam, p).encode("ascii")
 
 
 def test_unwritable_dump_is_exit_2(tmp_path):
@@ -350,8 +369,9 @@ def test_cli_output_is_byte_deterministic():
         "8",
         "--json",
     ]
-    first = subprocess.run(args, capture_output=True, check=True)
-    second = subprocess.run(args, capture_output=True, check=True)
+    env = _child_env()
+    first = subprocess.run(args, capture_output=True, env=env, check=True)
+    second = subprocess.run(args, capture_output=True, env=env, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.strip() != b""
 
@@ -391,13 +411,10 @@ _FORMULA_CALLS = [
 def _probe_imports(argv):
     """Exit code and sys.modules after one CLI call in a fresh interpreter
     (tier-1 itself has every module loaded already)."""
-    src = pathlib.Path(sys.modules["specht"].__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *argv],
         capture_output=True,
-        env=env,
+        env=_child_env(),
         check=True,
     )
     code, modules = json.loads(proc.stdout)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -386,6 +387,29 @@ def test_integer_rank_basics():
     assert integer_rank([]) == 0
 
 
+def test_first_prime_is_the_largest_float_exact_prime():
+    p = gram_mod._FLOAT_PRIME
+    assert is_prime(p) and gram_mod._float_exact(p)
+    following = next(q for q in range(p + 1, 2 * p) if is_prime(q))
+    assert following == 8388617 and not gram_mod._float_exact(following)
+
+
+def test_integer_rank_goes_past_primes_that_divide_a_minor():
+    """Matrices whose rank drops mod the first prime, or the first two or three."""
+    p1, p2, p3 = [q for q in range(gram_mod._FLOAT_PRIME, 8388500, -1) if is_prime(q)][:3]
+    assert integer_rank([[p1, 0], [0, 1]]) == 2
+    assert integer_rank([[p1 * p2, 0], [0, 0]]) == 1
+    assert integer_rank([[p1, 0, 0], [0, p2, 0], [0, 0, p3]]) == 3
+    assert integer_rank([[2**70, 2**71], [2**69, 2**70]]) == 1
+
+
+def test_integer_rank_of_a_gram_matrix_is_immediate():
+    g = gram_matrix((6, 3, 1))
+    start = time.perf_counter()
+    assert integer_rank(g) == 315
+    assert time.perf_counter() - start < 1
+
+
 @given(
     st.lists(
         st.lists(st.integers(-9, 9), min_size=4, max_size=4),
@@ -688,8 +712,24 @@ def test_rank_never_exceeds_dimension(n):
 def test_rational_rank_raises_on_a_failed_certificate(monkeypatch):
     # A failed certificate (rank mod p below d) must not be trusted.
     monkeypatch.setattr(gram_mod, "modular_rank", lambda rows, p: 0)
-    with pytest.raises(RuntimeError, match=r"rank certificate of \[3,2\] mod 7 failed"):
+    with pytest.raises(RuntimeError, match=r"rank of \[3,2\] over Q is 0, not 5"):
         gram_rank_rational((3, 2))
+
+
+def test_rational_rank_calls_the_rank_kernels_through_module_attributes(monkeypatch):
+    """So a wrapper set on either attribute, as perfbench/tracing.py sets,
+    sees the call."""
+    calls = []
+    for attr in ("integer_rank", "modular_rank"):
+        original = getattr(gram_mod, attr)
+
+        def recorder(*args, attr=attr, original=original):
+            calls.append(attr)
+            return original(*args)
+
+        monkeypatch.setattr(gram_mod, attr, recorder)
+    assert gram_rank_rational((3, 2)) == 5
+    assert calls == ["integer_rank", "modular_rank"]
 
 
 def test_gram_rank_size_cap():
