@@ -47,7 +47,6 @@ _EXPORTS = {
         "gram_rank_rational",
         "gram_ranks_mod_p",
         "integer_rank",
-        "irreducible_dim_hook_family_check",
         "modular_rank",
         "modular_ranks",
         "polytabloid",

@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Exit codes: 0 success; 1 verification found an in-regime mismatch under the
-p > k, n > 4k hypothesis; 2 invalid input, or a --dump file that cannot be
-written; 3 an internal limit was hit (size cap, search ceiling) or an
-internal self-check failed. Identical invocations produce byte-identical
-output.
+Each subcommand returns (JSON object, text), and verify also its exit
+code; main writes the one --json picks, plus a newline, in one stdout write.
+
+Exit codes: 0 success; 1 verification found an in-regime mismatch inside
+the window of verify._in_window; 2 invalid input, or a --dump file that
+cannot be written; 3 an internal limit was hit (size cap, search ceiling)
+or an internal self-check failed. Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .partitions import (
 )
 
 if TYPE_CHECKING:
-    from .decomposition import GrothendieckVector
     from .dimensions import RationalPolynomial
 
 # Library functions resolve through the package's name table on first use,
@@ -53,88 +55,55 @@ def _poly_json(poly: RationalPolynomial) -> dict:
     }
 
 
-def cmd_dim_specht(args: argparse.Namespace) -> int:
+def cmd_dim_specht(args: argparse.Namespace) -> tuple[dict, str]:
     lam = parse_partition(args.partition)
     dim = _cli.specht_dimension(lam)
-    if args.json:
-        print(json.dumps({"partition": list(lam), "dimension": dim}))
-    else:
-        print(f"dim S{format_partition(lam)} = {dim}")
-    return 0
+    obj = {"partition": list(lam), "dimension": dim}
+    return obj, f"dim S{format_partition(lam)} = {dim}"
 
 
-def cmd_dim_poly(args: argparse.Namespace) -> int:
+def cmd_dim_poly(args: argparse.Namespace) -> tuple[dict, str]:
     mu = parse_partition(args.tail)
     poly = _cli.specht_dimension_polynomial(mu)
     threshold = max(_cli.padding_threshold(mu), 1)
-    if args.json:
-        obj = {"tail": list(mu), "threshold": threshold, **_poly_json(poly)}
-        print(json.dumps(obj))
-    else:
-        print(f"dim S{_family_label(mu)} = {poly}  (valid for n >= {threshold})")
-    return 0
+    obj = {"tail": list(mu), "threshold": threshold, **_poly_json(poly)}
+    return obj, f"dim S{_family_label(mu)} = {poly}  (valid for n >= {threshold})"
 
 
-def cmd_a_set(args: argparse.Namespace) -> int:
+def cmd_a_set(args: argparse.Namespace) -> tuple[dict, str]:
     lam = parse_partition(args.partition)
     chain = _cli.rim_hook_chain(lam, args.m)
-    if args.json:
-        obj = {
-            "base": list(lam),
-            "m": args.m,
-            "elements": [list(el) for el in chain.elements],
-        }
-        print(json.dumps(obj))
-    else:
-        print(f"A({format_partition(lam)}, m={args.m}):")
-        for el in chain.elements:
-            print(f"  {format_partition(el)}")
-    return 0
+    elements = chain.elements
+    obj = {"base": list(lam), "m": args.m, "elements": [list(el) for el in elements]}
+    lines = [f"A({format_partition(lam)}, m={args.m}):"]
+    lines += [f"  {format_partition(el)}" for el in elements]
+    return obj, "\n".join(lines)
 
 
-def _print_vector(lhs: str, vec: GrothendieckVector, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(vec.to_json_obj()))
-    else:
-        print(f"{lhs} = {vec}")
-
-
-def cmd_decompose_irr(args: argparse.Namespace) -> int:
+def cmd_decompose_irr(args: argparse.Namespace) -> tuple[list, str]:
     lam = parse_partition(args.partition)
     vec = _cli.decompose_irreducible(lam, args.m)
-    _print_vector(f"D{format_partition(lam)}", vec, args.json)
-    return 0
+    return vec.to_json_obj(), f"D{format_partition(lam)} = {vec}"
 
 
-def cmd_decompose_std(args: argparse.Namespace) -> int:
+def cmd_decompose_std(args: argparse.Namespace) -> tuple[list, str]:
     lam = parse_partition(args.partition)
     family = tail_bounded_partitions(sum(lam), args.k)
     vec = _cli.decompose_standard(lam, args.m, family)
-    _print_vector(f"S{format_partition(lam)}", vec, args.json)
-    return 0
+    return vec.to_json_obj(), f"S{format_partition(lam)} = {vec}"
 
 
-def cmd_dim_table(args: argparse.Namespace) -> int:
+def cmd_dim_table(args: argparse.Namespace) -> tuple[dict, str]:
     mu = parse_partition(args.tail)
     table = _cli.irreducible_dimension_table(mu)
-    if args.json:
-        obj = {
-            "tail": list(mu),
-            "cases": [
-                {"residue": m, **_poly_json(poly)}
-                for m, poly in sorted(table.cases.items())
-            ],
-            "default": _poly_json(table.default),
-        }
-        print(json.dumps(obj))
-    else:
-        print(f"dim D{_family_label(mu)} for n == m (mod p), n large:")
-        for line in table.render().splitlines():
-            print("  " + line)
-    return 0
+    cases = [{"residue": m, **_poly_json(poly)} for m, poly in sorted(table.cases.items())]
+    obj = {"tail": list(mu), "cases": cases, "default": _poly_json(table.default)}
+    lines = [f"dim D{_family_label(mu)} for n == m (mod p), n large:"]
+    lines += ["  " + line for line in table.render().splitlines()]
+    return obj, "\n".join(lines)
 
 
-def cmd_gram_rank(args: argparse.Namespace) -> int:
+def cmd_gram_rank(args: argparse.Namespace) -> tuple[dict, str]:
     lam = parse_partition(args.partition)
     rank = _cli.gram_rank_mod_p(lam, args.p, args.size_cap)
     if args.dump is not None:
@@ -142,14 +111,11 @@ def cmd_gram_rank(args: argparse.Namespace) -> int:
 
         with open(args.dump, "w", encoding="ascii") as fh:
             fh.writelines(_gram_dump_lines(lam, args.p, args.size_cap))
-    if args.json:
-        print(json.dumps({"partition": list(lam), "p": args.p, "rank": rank}))
-    else:
-        print(f"gram rank of {format_partition(lam)} mod {args.p} = {rank}")
-    return 0
+    obj = {"partition": list(lam), "p": args.p, "rank": rank}
+    return obj, f"gram rank of {format_partition(lam)} mod {args.p} = {rank}"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, str, int]:
     if args.n_min > args.n_max:
         raise ValueError("--n-min must not exceed --n-max")
     mus = [parse_partition(text) for text in (args.mu or _DEFAULT_VERIFY_MU)]
@@ -157,28 +123,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = _cli.run_verification(
         mus, ps, range(args.n_min, args.n_max + 1), size_cap=args.size_cap
     )
-    if args.json:
-        print(json.dumps(report.to_json_obj()))
-    else:
-        sys.stdout.write(report.render_text())
-    return 0 if report.passed else 1
+    text = report.render_text().removesuffix("\n")
+    return report.to_json_obj(), text, 0 if report.passed else 1
 
 
-def cmd_prime_seq(args: argparse.Namespace) -> int:
+def cmd_prime_seq(args: argparse.Namespace) -> tuple[dict, str]:
     coeffs = _cli.parse_coefficients(args.coefficients)
     pairs = _cli.prime_parameter_sequence(
         coeffs, args.count, p_min=args.p_min, search_limit=args.search_limit
     )
-    if args.json:
-        obj = {
-            "coefficients": list(coeffs),
-            "pairs": [{"t": pair.t, "p": pair.p} for pair in pairs],
-        }
-        print(json.dumps(obj))
-    else:
-        for pair in pairs:
-            print(f"({pair.t}, {pair.p})")
-    return 0
+    obj = {"coefficients": list(coeffs), "pairs": [{"t": x.t, "p": x.p} for x in pairs]}
+    return obj, "\n".join(f"({x.t}, {x.p})" for x in pairs)
 
 
 def _size_cap(text: str) -> int:
@@ -279,7 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        obj, text, *code = args.func(args)
+        # One write: output that fits the pipe is all in it before a reader
+        # such as `head -1` can close it, so no later write meets EPIPE.
+        sys.stdout.write((json.dumps(obj) if args.json else text) + "\n")
+        return code[0] if code else 0
     except RuntimeError as exc:
         # TooLarge, SearchExhausted, and the Pollard rho self-check.
         print(f"error: {exc}", file=sys.stderr)

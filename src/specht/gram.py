@@ -52,7 +52,6 @@ __all__ = [
     "gram_rank_mod_p",
     "gram_ranks_mod_p",
     "gram_rank_rational",
-    "irreducible_dim_hook_family_check",
     "format_gram_dump",
 ]
 
@@ -298,6 +297,8 @@ def _integer_matrix(rows: Sequence[Sequence[int]]) -> np.ndarray:
     import numpy as np
 
     a = np.asarray(rows)  # ValueError for ragged rows
+    if a.dtype.kind == "f":  # numpy's guess for negatives beside ints in [2**63, 2**64)
+        a = np.array(rows, dtype=object)
     integers = a.dtype.kind in "biu" or all(hasattr(x, "__index__") for x in a.flat)
     if a.ndim > 2 or a.size and (a.ndim != 2 or not integers):
         raise ValueError(f"not a matrix of integers: shape {a.shape}, dtype {a.dtype}")
@@ -532,29 +533,6 @@ def gram_rank_rational(lam: Partition, size_cap: int = DEFAULT_SIZE_CAP) -> int:
         lam_s = format_partition(lam)
         raise RuntimeError(f"rank of {lam_s} over Q is {rank}, not {len(gram)}")
     return rank
-
-
-def irreducible_dim_hook_family_check(n: int, p: int) -> tuple[int, int]:
-    """Cross-check dim of the irreducible at (n-1, 1) two independent ways.
-
-    Expected value: the natural permutation module on n points over F_p has
-    the augmentation kernel V (vectors summing to zero); the irreducible in
-    question is V modulo its intersection with the all-ones line, and both
-    dimensions are computed here by row reduction alone. Actual value: the
-    Gram rank oracle at (n-1, 1). Returns (expected, actual).
-    """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    _checked((p,))
-    diffs = [[0] * n for _ in range(n - 1)]
-    for i in range(n - 1):
-        diffs[i][i] = 1
-        diffs[i][i + 1] = -1
-    # dim(V + line) = rank of the stacked rows; dim(V cap line) = n - dim(V + line),
-    # so dim(V / (V cap line)) = rank(stacked) - 1.
-    expected = modular_rank(diffs + [[1] * n], p) - 1
-    actual = gram_rank_mod_p((n - 1, 1), p)
-    return expected, actual
 
 
 def format_gram_dump(lam: Partition, p: int, size_cap: int = DEFAULT_SIZE_CAP) -> str:

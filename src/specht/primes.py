@@ -1,11 +1,11 @@
 """Primality testing and factorization helpers.
 
 ``is_prime`` is a deterministic Miller-Rabin test for everything below
-3.3e24 (in particular for all 64-bit integers); beyond that bound the same
-fixed bases make it a very strong probable-prime test. Factorization
-trial-divides by the primes below 2**8, then splits what is left with
-Miller-Rabin and Pollard rho (fixed seeds), so it stays deterministic as
-well.
+3.3e24 (in particular for all 64-bit integers; four bases suffice below
+3.2e9); beyond that bound the same fixed bases make it a very strong
+probable-prime test. Factorization trial-divides by the primes below 2**8,
+then splits what is left with Miller-Rabin and Pollard rho (fixed seeds),
+so it stays deterministic as well.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ class NotPrime(ValueError):
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# The 12 bases above decide primality for all n < 3_317_044_064_679_887_385_961_981.
+# The 12 bases above decide primality for all n < 3_317_044_064_679_887_385_961_981,
+# and the first four alone for all n below this bound (every kernel prime).
+_FOUR_BASES_BELOW = 3_215_031_751
 
 
 def is_prime(n: int) -> bool:
@@ -38,7 +40,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:4] if n < _FOUR_BASES_BELOW else _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -5,9 +5,9 @@ evaluated at n with the Gram rank mod p of (n - |mu|, mu); gram_ranks_mod_p
 gives it at all the primes of a (mu, n) cell in one call. Records where the
 padded shape is p-singular or n <= p are out of regime: they are reported
 but excluded from pass/fail. Mismatches only count against the run when the
-record also satisfies p > |mu| and n > 4|mu|, the window in which the
-formula is expected to hold; inside that window an error state counts as
-a failed comparison. Per-record failures never abort the grid.
+record also lies in the window of _in_window, where the formula is expected
+to hold; inside that window an error state counts as a failed comparison.
+Per-record failures never abort the grid.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class VerificationRecord:
     n: int
     m: int
     k: int
-    hypothesis: bool  # p > k and n > 4k
+    hypothesis: bool  # _in_window(k, p, n)
     in_regime: bool  # padded shape valid and p-regular, and n > p
     formula_dim: int | None = None
     oracle_dim: int | None = None
@@ -83,19 +83,16 @@ class VerificationReport:
             if r.error is not None:
                 lines.append(f"    error: {r.error}")
         lines.append("")
-        for key in (
-            "records",
-            "in_regime",
-            "out_of_regime",
-            "matches",
-            "mismatches",
-            "conjecture_mismatches",
-            "errors",
-        ):
-            lines.append(f"{key}: {self.summary[key]}")
+        lines += [f"{key}: {value}" for key, value in self.summary.items()]
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"verdict: {verdict}")
         return "\n".join(lines) + "\n"
+
+
+def _in_window(k: int, p: int, n: int) -> bool:
+    """Whether a record of tail size k lies in the window p > k, n > 4k, in
+    which the formula is expected to hold."""
+    return p > k and n > 4 * k
 
 
 def _mu_sort_key(mu: Partition):
@@ -166,7 +163,7 @@ def _cell_records(
             n=n,
             m=n % p,
             k=k,
-            hypothesis=(p > k and n > 4 * k),
+            hypothesis=_in_window(k, p, n),
             in_regime=False,
         )
         records.append(rec)

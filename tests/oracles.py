@@ -311,6 +311,30 @@ def peel_hook_dimension(n, r, p):
     return comb(n - 1, r) if n % p else comb(n - 2, r)
 
 
+def irreducible_dim_hook_family_check(n, p):
+    """dim D^(n-1, 1) over F_p two independent ways, as (expected, actual).
+
+    Expected: the natural permutation module on n points has the
+    augmentation kernel V (vectors summing to zero); D^(n-1, 1) is V modulo
+    its intersection with the all-ones line, and both dimensions come from
+    textbook row reduction.  Actual: the library's Gram rank at (n-1, 1),
+    which also refuses a p that is not prime.
+    """
+    from specht import gram_rank_mod_p
+
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    actual = gram_rank_mod_p((n - 1, 1), p)
+    diffs = [[0] * n for _ in range(n - 1)]
+    for i in range(n - 1):
+        diffs[i][i] = 1
+        diffs[i][i + 1] = -1
+    # dim(V + line) = rank of the stacked rows; dim(V cap line) = n - dim(V + line),
+    # so dim(V / (V cap line)) = rank(stacked) - 1.
+    expected = rank_mod_p(diffs + [[1] * n], p) - 1
+    return expected, actual
+
+
 def contains_p(a, b, p):
     """James's relation "a contains_p b": every base-p digit of b is 0 or
     equals the digit of a in the same place."""

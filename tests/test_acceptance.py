@@ -10,6 +10,7 @@ import json
 import math
 import time
 
+from oracles import irreducible_dim_hook_family_check
 from specht import (
     GrothendieckVector,
     decompose_irreducible,
@@ -17,7 +18,6 @@ from specht import (
     divisor_prime_census,
     evaluate,
     gram_rank_rational,
-    irreducible_dim_hook_family_check,
     partitions_of,
     rim_hook_chain,
     run_verification,
@@ -71,7 +71,8 @@ def test_criterion_2_grothendieck_expansions():
 
 
 def test_criterion_3_formula_vs_oracle_grid():
-    """Every hypothesis-window record (p > k, n > 4k) matches the Gram oracle."""
+    """Every in-regime record in the window of verify._in_window matches the
+    Gram oracle."""
     start = time.monotonic()
     mus = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
     report = run_verification(mus, [5, 7, 11], range(6, 15))

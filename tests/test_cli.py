@@ -429,3 +429,126 @@ def test_numpy_is_loaded_only_by_gram_work():
         assert (got, loaded, "numpy" in modules) == (code, set(), False), argv
     code, modules = _probe_imports(["gram-rank", "[2,1]", "3"])
     assert (code, "numpy" in modules, "specht.verify" in modules) == (0, True, False)
+
+
+# ---------------------------------------------------------------------------
+# one write to stdout per call
+
+_VERIFY_TEXT = (
+    "mu         p   n   m  formula  oracle  match  regime\n"
+    "[]         5   6   1        1       1  yes    in+hyp\n"
+    "[]         5   7   2        1       1  yes    in+hyp\n"
+    "\nrecords: 2\nin_regime: 2\nout_of_regime: 0\nmatches: 2\nmismatches: 0\n"
+    "conjecture_mismatches: 0\nerrors: 0\nverdict: PASS\n"
+)
+_VERIFY_RECORD = (
+    '"p": 5, "n": {}, "m": {}, "k": 0, "hypothesis": true, "in_regime": true, '
+    '"formula_dim": 1, "oracle_dim": 1, "match": true, "error": null}}'
+)
+_VERIFY_JSON = (
+    '{"grid": [{"mu": [], ' + _VERIFY_RECORD.format(6, 1) + ", "
+    '{"mu": [], ' + _VERIFY_RECORD.format(7, 2) + '], "summary": {"records": 2, '
+    '"in_regime": 2, "out_of_regime": 0, "matches": 2, "mismatches": 0, '
+    '"conjecture_mismatches": 0, "errors": 0}}\n'
+)
+_FAILED_VERIFY = ("verify", "--mu", "[4]", "--p", "5", "--n-min", "17", "--n-max", "17")
+# argv, exit code, stdout: every subcommand in text and in JSON, then the
+# calls perfbench/cli_expected.json pins.
+_ONE_WRITE_CALLS = [
+    (("dim-specht", "[5,2]"), 0, "dim S[5,2] = 14\n"),
+    (("dim-specht", "[5,2]", "--json"), 0, '{"partition": [5, 2], "dimension": 14}\n'),
+    (("dim-poly", "[2]"), 0, "dim S[n-2,2] = 1/2*n^2 - 3/2*n  (valid for n >= 4)\n"),
+    (
+        ("dim-poly", "[2]", "--json"),
+        0,
+        '{"tail": [2], "threshold": 4, "degree": 2, "coefficients": ["0", "-3/2", "1/2"], '
+        '"text": "1/2*n^2 - 3/2*n"}\n',
+    ),
+    (("a-set", "[5,2]", "2"), 0, "A([5,2], m=2):\n  [6,1]\n  [5,2]\n"),
+    (
+        ("a-set", "[5,2]", "2", "--json"),
+        0,
+        '{"base": [5, 2], "m": 2, "elements": [[6, 1], [5, 2]]}\n',
+    ),
+    (("decompose-irr", "[5,2]", "2"), 0, "D[5,2] = S[5,2] - S[6,1]\n"),
+    (
+        ("decompose-irr", "[5,2]", "2", "--json"),
+        0,
+        '[{"label": "S", "partition": [5, 2], "coeff": 1}, '
+        '{"label": "S", "partition": [6, 1], "coeff": -1}]\n',
+    ),
+    (("decompose-std", "[5,2]", "2", "2"), 0, "S[5,2] = D[5,2] + D[6,1]\n"),
+    (
+        ("decompose-std", "[5,2]", "2", "2", "--json"),
+        0,
+        '[{"label": "D", "partition": [5, 2], "coeff": 1}, '
+        '{"label": "D", "partition": [6, 1], "coeff": 1}]\n',
+    ),
+    (
+        ("dim-table", "[2]"),
+        0,
+        "dim D[n-2,2] for n == m (mod p), n large:\n  m == 1: 1/2*n^2 - 3/2*n - 1\n"
+        "  m == 2: 1/2*n^2 - 5/2*n + 1\n  otherwise: 1/2*n^2 - 3/2*n\n",
+    ),
+    (
+        ("dim-table", "[2]", "--json"),
+        0,
+        '{"tail": [2], "cases": [{"residue": 1, "degree": 2, "coefficients": '
+        '["-1", "-3/2", "1/2"], "text": "1/2*n^2 - 3/2*n - 1"}, {"residue": 2, '
+        '"degree": 2, "coefficients": ["1", "-5/2", "1/2"], "text": "1/2*n^2 - 5/2*n + 1"}], '
+        '"default": {"degree": 2, "coefficients": ["0", "-3/2", "1/2"], '
+        '"text": "1/2*n^2 - 3/2*n"}}\n',
+    ),
+    (("gram-rank", "[2,1]", "3"), 0, "gram rank of [2,1] mod 3 = 1\n"),
+    (("gram-rank", "[2,1]", "3", "--json"), 0, '{"partition": [2, 1], "p": 3, "rank": 1}\n'),
+    (("verify", "--mu", "[]", "--p", "5", "--n-min", "6", "--n-max", "7"), 0, _VERIFY_TEXT),
+    (
+        ("verify", "--mu", "[]", "--p", "5", "--n-min", "6", "--n-max", "7", "--json"),
+        0,
+        _VERIFY_JSON,
+    ),
+    (("prime-seq", "1,0,1", "3"), 0, "(2, 5)\n(4, 17)\n(6, 37)\n"),
+    (
+        ("prime-seq", "1,0,1", "3", "--json"),
+        0,
+        '{"coefficients": [1, 0, 1], "pairs": [{"t": 2, "p": 5}, {"t": 4, "p": 17}, '
+        '{"t": 6, "p": 37}]}\n',
+    ),
+    (
+        _FAILED_VERIFY,  # an in-window oracle error fails the run: exit 1
+        1,
+        "mu         p   n   m  formula  oracle  match  regime\n"
+        "[4]        5   17  2     1700       -  error  in+hyp\n"
+        "    error: oracle: |[13,4]| = 17 exceeds the size cap 16\n"
+        "\nrecords: 1\nin_regime: 1\nout_of_regime: 0\nmatches: 0\nmismatches: 0\n"
+        "conjecture_mismatches: 1\nerrors: 1\nverdict: FAIL\n",
+    ),
+] + [
+    (tuple(call["argv"]), call["exit"], call["stdout"])
+    for call in json.loads(
+        (pathlib.Path(__file__).parent.parent / "perfbench" / "cli_expected.json").read_text()
+    )
+    if "exit" in call
+]
+
+
+class _WriteRecorder:
+    """A stdout that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "argv, code, out", _ONE_WRITE_CALLS, ids=[" ".join(c[0]) for c in _ONE_WRITE_CALLS]
+)
+def test_each_call_writes_stdout_once(monkeypatch, argv, code, out):
+    recorder = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(list(argv)) == code
+    # An exit-2 or exit-3 call writes nothing; any other call, one string.
+    assert recorder.writes == ([out] if out else [])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import specht.gram as gram_mod
-from oracles import is_standard, tabloid_of
+from oracles import irreducible_dim_hook_family_check, is_standard, tabloid_of
 from specht import (
     NotPrime,
     TooLarge,
@@ -23,7 +23,6 @@ from specht import (
     gram_rank_rational,
     gram_ranks_mod_p,
     integer_rank,
-    irreducible_dim_hook_family_check,
     modular_rank,
     modular_ranks,
     partitions_of,
@@ -378,6 +377,17 @@ def test_rank_kernels_take_integers_beyond_64_bits():
     rows = [[2**70 + 1, 1], [1, 0]]
     assert modular_rank(rows, 5) == 2
     assert integer_rank(rows) == 2
+
+
+def test_rank_kernels_take_a_negative_beside_an_entry_past_int64():
+    # numpy infers float64 for these rows; the kernels still see integers.
+    assert integer_rank([[-1, 2**63]]) == 1
+    assert modular_rank([[-1, 2**63]], 5) == 1
+    for rows in ([[1.5]], [[1.0]]):
+        with pytest.raises(ValueError):
+            integer_rank(rows)
+        with pytest.raises(ValueError):
+            modular_rank(rows, 5)
 
 
 def test_integer_rank_basics():

@@ -2,6 +2,7 @@
 
 import json
 from itertools import combinations
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,32 @@ def test_is_prime_large():
     assert is_prime(2**61 - 1)  # Mersenne prime
     assert not is_prime(2**67 - 1)  # famously composite: 193707721 * 761838257287
     assert is_prime(1000000007)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+@pytest.mark.parametrize("n,bases", [(25_326_001, (2, 3, 5)), (3_215_031_751, (2, 3, 5, 7))])
+def test_is_prime_rejects_strong_pseudoprimes(n, bases):
+    # 3 215 031 751 = 151 * 751 * 28351 is the least strong pseudoprime to
+    # bases 2, 3, 5 and 7 at once, so from there on is_prime needs more bases.
+    assert all(_strong_probable_prime(n, a) for a in bases)
+    assert not is_prime(n)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
 
 
 @given(st.integers(2, 10**6))
