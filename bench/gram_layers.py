@@ -15,9 +15,9 @@ the JOINT_SHAPES it then ranks the assembled matrix at the grid's primes
 per (shape, prime) times ``gram_rank_mod_p`` end to end, which is the path
 users take, and reports its peak RSS.  A third, per JOINT_CALLS entry, times
 one ``gram_ranks_mod_p`` call (assembly and elimination; numpy imported
-before the clock) and reports its peak RSS: the grid's shapes, and
-(14,2,1,1), d = 7 020, at |mu| = 4.  Each figure is the median of K runs,
-the checkouts taking turns run by run.
+before the clock) and reports its peak RSS: the grid's shapes,
+(14,2,1,1), d = 7 020, at |mu| = 4, and the tall (3,3,1^6) at 7, 11, 13.
+Each figure is the median of K runs, the checkouts taking turns run by run.
 Results are merged into the output file under NAME, next to the machine
 description, the checkout's git commit and whether its src/ differs from
 that commit.  Exits non-zero, naming the shape and prime, if the checkouts
@@ -37,8 +37,8 @@ import time
 from pathlib import Path
 
 # (11,2,1), d = 560, is the largest matrix of the oracle_grid benchmark.
-# [2,2,1^6] has d = 35 but 2.8e6 incidence entries, paired in four batches
-# of tabloid classes, a path the oracle_grid benchmark never takes.
+# [2,2,1^6] has d = 35 and 2.8e6 incidence entries; assembly pairs the
+# 3 920 of them that leave its six rows of length 1 increasing.
 SHAPES = ((11, 3), (11, 2, 1), (10, 2, 2), (10, 3, 1), (2, 2, 1, 1, 1, 1, 1, 1))
 # 8388617 is the least prime past the float64 bound: it eliminates in int64.
 PRIMES = (3, 5, 7, 11, 8388617)
@@ -48,6 +48,7 @@ JOINT_SHAPES = ((11, 2, 1), (10, 2, 2), (10, 3, 1))
 # One gram_ranks_mod_p call each, in a fresh interpreter: (shape, primes, size cap).
 JOINT_CALLS = tuple((lam, JOINT_PRIMES, 16) for lam in JOINT_SHAPES) + (
     ((14, 2, 1, 1), (5, 7, 11, 13), 18),
+    ((3, 3, 1, 1, 1, 1, 1, 1), (7, 11, 13), 16),
 )
 
 

@@ -7,10 +7,16 @@ the irreducible head of the Specht module for p-regular shapes.
 
 The matrix is G = E E^T, with E the signed incidence matrix of standard
 polytabloids against the tabloids they reach, built once per shape from
-the column stabilizer as arrays.  Each tabloid adds the k x k block of
-sign products of the k entries reaching it, exact in int32 because every
-entry and partial sum is at most the column group order |C_t| <= 10**7,
-taken in batches of whole tabloid classes so that memory stays bounded.
+the column stabilizer as arrays.  For a shape with m rows of length 1,
+E keeps only the group elements that leave increasing entries in those
+rows, |C_t|/m! of them, and the product is multiplied by m! once:
+permuting those rows maps matching pairs of terms to matching pairs with
+the same sign product, and as the first column of a standard tableau
+increases, the kept elements are the same for every tableau.  Each
+tabloid adds the k x k block of sign products of the k entries reaching
+it, exact in int32 because every entry and partial sum, the m! multiple
+included, is at most the column group order |C_t| <= 10**7, taken in
+batches of whole tabloid classes so that memory stays bounded.
 Each call builds a new matrix and owns it: nothing is cached, and the rank
 path reduces it mod N in place, N a prime or a product of primes ranked
 together, so the matrix is the only d x d array a rank call holds (4d^2
@@ -111,13 +117,16 @@ def _standard_tableaux(lam: Partition) -> tuple[StandardTableau, ...]:
 
 
 @cache
-def _signed_perms(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every permutation of range(k) as a row, and the sign of each."""
+def _signed_perms(k: int, fixed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation of range(k) as a row that lists its `fixed` largest
+    values in increasing order, and the sign of each: k!/fixed! rows, all
+    k! of them for fixed <= 1."""
     import numpy as np
 
-    perms = np.zeros((1, 0), dtype=np.uint8)
+    # Start from 0..fixed-1 in order; every later value is inserted anywhere.
+    perms = np.arange(fixed, dtype=np.uint8)[None]
     signs = np.ones(1, dtype=np.int8)
-    for m in range(k):
+    for m in range(fixed, k):
         # Inserting m at position j, ahead of the m - j smaller values after
         # it, adds m - j inversions.  Block j of the new table holds those.
         grown = np.empty((m + 1, len(perms), m + 1), dtype=np.uint8)
@@ -125,11 +134,15 @@ def _signed_perms(k: int) -> tuple[np.ndarray, np.ndarray]:
             block[:, :j], block[:, j], block[:, j + 1 :] = perms[:, :j], m, perms[:, j:]
         perms = grown.reshape(-1, m + 1)
         signs = np.concatenate([signs * (-1) ** (m - j) for j in range(m + 1)])
+    if fixed > 1:
+        # Reversing positions and values (conjugating by the longest
+        # permutation) keeps each sign and puts k-fixed..k-1 in order.
+        perms = k - 1 - perms[:, ::-1]
     return perms, signs
 
 
 def _column_group(
-    shape: tuple[int, ...],
+    shape: tuple[int, ...], ones: int = 0
 ) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
     """Column stabilizer of a tableau of the given row lengths, on cells.
 
@@ -137,6 +150,15 @@ def _column_group(
     group element giving the row each cell's entry moves to, then the signs.
     Distinct group elements send a tableau to distinct tabloids.  A column
     has at most 10 cells (11! > _MAX_COLUMN_GROUP), so rows fit in uint8.
+
+    With ones = m, the number of rows of length 1, only the elements whose
+    first column keeps the order of the cells it sends to those last m rows
+    are listed: |C|/m! of them, one per coset of the group S_m permuting
+    those rows.  The first column of a standard tableau increases, so on
+    every standard tableau these are the elements that leave increasing
+    entries in the rows of length 1.  Gram assembly pairs only these and
+    multiplies by m! once, and each entry stays at most |C| < 2**31.  The
+    _MAX_COLUMN_GROUP check is on the full order |C| either way.
     """
     import numpy as np
 
@@ -145,17 +167,19 @@ def _column_group(
     order = prod(factorial(len(col)) for col in columns)
     if order > _MAX_COLUMN_GROUP:
         raise TooLarge(f"column stabilizer of shape has {order} elements")
+    order //= factorial(ones)
     cells = tuple((r, c) for c, col in enumerate(columns) for r in col)
-    # Group element g = (g_1, ..., g_w), one permutation per column, sits in
-    # row sum_j g_j * prod_{k > j} |col_k|! of targets, the first column
-    # varying slowest.  Each column's block is filled through a broadcast
-    # view (before, |col|!, after, cells), so targets is the only large array.
+    # Group element g = (g_1, ..., g_w), one listed permutation per column,
+    # sits in row sum_j g_j * prod_{k > j} (perms listed for col_k) of
+    # targets, the first column varying slowest.  Each column's block is
+    # filled through a broadcast view (before, perms, after, cells), so
+    # targets is the only large array.
     # A partition's column holds rows 0..|col| - 1, so its perms are the rows.
     targets = np.empty((order, len(cells)), dtype=np.uint8)
     signs = np.ones(order, dtype=np.int8)
     before, start = 1, 0
-    for col in columns:
-        perms, perm_signs = _signed_perms(len(col))
+    for c, col in enumerate(columns):
+        perms, perm_signs = _signed_perms(len(col), 0 if c else ones)
         after = order // (before * len(perms))
         block = targets.reshape(before, len(perms), after, len(cells))
         block[..., start : start + len(col)] = perms[:, None]
@@ -196,6 +220,15 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
     (_add_pairs).  It is exact in int32: a partial sum counts at most
     |C_t| <= _MAX_COLUMN_GROUP < 2**31 terms of +/-1.
 
+    Only the entries whose tabloid holds increasing entries in the rows of
+    length 1, `ones` of them, are paired (see _column_group), and the sum
+    is then multiplied by ones!.  Permuting those rows takes two entries
+    that share a tabloid to two that still do, with the same sign product,
+    so a pair and its ones! - 1 permuted copies add the same term, and
+    exactly one copy leaves those rows increasing.  Whether (g, i) does
+    depends on g alone, the same for every standard tableau i.  Each entry
+    of the product is still at most |C_t|, so int32 holds it.
+
     Entries are paired in batches of at most _MAX_ENTRIES.  The class of a
     tabloid is the rows it puts the entries 1..m in; tabloids of different
     classes never pair, so a batch is a run of whole classes.  Tableaux that
@@ -207,8 +240,8 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
     import numpy as np
 
     tableaux = _standard_tableaux(lam)
-    d, rows = len(tableaux), len(lam)
-    cells, targets, signs = _column_group(lam)
+    d, rows, ones = len(tableaux), len(lam), lam.count(1)
+    cells, targets, signs = _column_group(lam, ones)
     n = len(cells)
     gram = np.zeros((d, d), dtype=np.int32)
     if n == 0:  # the empty shape: one tableau, one tabloid
@@ -251,6 +284,7 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
             tableau.append(np.tile(members, len(g)))
             sign.append(np.repeat(signs[g], len(members)))
         _add_pairs(gram, *map(np.concatenate, (labels, tableau, sign)))
+    gram *= factorial(ones)
     return gram
 
 

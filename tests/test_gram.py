@@ -112,7 +112,9 @@ def test_gram_matrices_are_symmetric_with_positive_diagonal(n):
 
 @pytest.mark.parametrize(
     "lam",
-    [lam for n in range(8) for lam in partitions_of(n)] + [(5, 3), (4, 2, 2), (3, 3, 1, 1)],
+    [lam for n in range(8) for lam in partitions_of(n)]
+    + [lam for lam in partitions_of(8) if lam.count(1) >= 2]  # m! factored out
+    + [(5, 3), (4, 2, 2)],
     ids=format_partition,
 )
 def test_gram_matrix_is_the_polytabloid_pairing(lam):
@@ -152,11 +154,17 @@ def test_gram_matrix_assembled_in_batches(monkeypatch, lam, fraction, pairs):
     Bounding the pairs per scatter call (_PAIRS, default when None) splits
     each tabloid's k x k block: _PAIRS = 1 takes one row a call, 5 mixes
     split tabloids with calls of whole ones.  No call may take more than
-    max(_PAIRS, k) pairs, and every pair is scattered once."""
+    max(_PAIRS, k) pairs, and every pair is scattered once.  Only the
+    polytabloid terms with increasing entries in the rows of length 1 are
+    paired (the m! copies of the rest add the same terms)."""
     expected = gram_matrix(lam)
-    tableaux = standard_tableaux(lam)
-    entries = len(tableaux) * len(polytabloid(tableaux[0]))
-    reach = Counter(tabloid for t in tableaux for tabloid in oracles.polytabloid(t))
+    reach = Counter(
+        tabloid
+        for t in standard_tableaux(lam)
+        for tabloid in oracles.polytabloid(t)
+        if _ones_increase(tabloid)
+    )
+    entries = sum(reach.values())
     add, sizes = np.add, []
 
     class RecordingAdd:  # numpy.add, recording the pairs of each add.at call
@@ -174,6 +182,48 @@ def test_gram_matrix_assembled_in_batches(monkeypatch, lam, fraction, pairs):
     assert gram_matrix(lam) == expected
     assert max(sizes) <= max(gram_mod._PAIRS, max(reach.values()))
     assert sum(sizes) == sum(k * k for k in reach.values())
+
+
+def _ones_increase(tabloid):
+    """Whether the rows of length 1 of the tabloid hold increasing entries."""
+    ones = [row[0] for row in tabloid if len(row) == 1]
+    return ones == sorted(ones)
+
+
+@pytest.mark.parametrize(
+    "lam, order",
+    [
+        ((2, 2) + (1,) * 8, math.factorial(10) * 2),
+        ((3,) + (1,) * 9, math.factorial(10)),
+        ((2, 2, 2) + (1,) * 6, math.factorial(9) * math.factorial(3)),
+        ((1,) * 10, math.factorial(10)),
+    ],
+    ids=lambda x: format_partition(x) if isinstance(x, tuple) else str(x),
+)
+def test_tall_gram_diagonal_is_the_full_column_group_order(lam, order):
+    """<e_T, e_T> = |C_t| on tall shapes: a lost or doubled m! would show."""
+    g = gram_mod._gram_matrix_cached(lam)
+    assert g.diagonal().tolist() == [order] * len(standard_tableaux(lam))
+
+
+def test_tall_shape_ranks_at_three_primes():
+    lam = (3, 3) + (1,) * 6
+    assert gram_ranks_mod_p(lam, (7, 11, 13)) == {7: 616, 11: 616, 13: 616}
+
+
+def test_tall_assembly_never_builds_the_full_first_column_table():
+    """[2,2,1^8] pairs 10!/8! first-column elements, not 10! (36 MB as uint8)."""
+    import tracemalloc
+
+    lam = (2, 2) + (1,) * 8
+    standard_tableaux(lam, size_cap=12)
+    tracemalloc.start()
+    try:
+        gram_mod._gram_matrix_cached(lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_polytabloid_diagonal_norm_is_column_group_order():
@@ -745,8 +795,9 @@ def test_rational_rank_calls_the_rank_kernels_through_module_attributes(monkeypa
 def test_gram_rank_size_cap():
     with pytest.raises(TooLarge):
         gram_rank_mod_p((9, 8), 5)  # 17 boxes > default cap 16
-    with pytest.raises(TooLarge):
-        # 20 single-box columns: the column group alone is 20! >> the limit
+    with pytest.raises(TooLarge, match="column stabilizer"):
+        # 20 rows of one box: the column group alone is 20! >> the limit,
+        # though assembly would pair only 20!/20! = 1 element of it
         gram_rank_mod_p(tuple([1] * 20), 3, size_cap=25)
 
 
