@@ -21,12 +21,14 @@ Each call builds a new matrix and owns it: nothing is cached, and the rank
 path reduces it mod N in place, N a prime or a product of primes ranked
 together, so the matrix is the only d x d array a rank call holds (4d^2
 bytes; a group of primes ranked before the last one, which happens only
-past the float bound, takes an int32 residue copy).  The elimination kernel is blocked (panels of columns, one Schur
-update each) on those int32 residues in [0, N); only its panel factors L
-and U and one Schur block at a time are float64, or int64 past the float
-bound.  It pivots on units mod N only; a column with nonzero residues but
-no unit is deferred, and each prime ranks the deferred columns' leftover
-block alone.  It is exact while a residue minus a panel's worth of products
+past the float bound, takes an int32 residue copy).  The elimination
+kernel is blocked (panels of columns, one Schur update each) on those
+int32 residues in [0, N); only its panel factors L and U and one Schur
+block at a time are float64, or int64 past the float bound.  It pivots on
+units mod N only; a column with nonzero residues but no unit is deferred,
+and the deferred columns' leftover block is ranked once more for the
+primes at which it is not zero, together, or one by one when none drops
+out.  It is exact while a residue minus a panel's worth of products
 of two residues stays below 2**53 in float64 (BLAS, panels of _PANEL
 columns, N <= 8388593) or below 2**63 in int64 (a larger prime, below
 2**31, with panels as wide as that allows).  Every modulus fits in int32.
@@ -92,28 +94,38 @@ def _check_cap(lam: Partition, size_cap: int) -> Partition:
 def standard_tableaux(
     lam: Partition, size_cap: int = DEFAULT_SIZE_CAP
 ) -> tuple[StandardTableau, ...]:
-    """All standard tableaux of the shape, sorted by row-reading word."""
-    return _standard_tableaux(_check_cap(lam, size_cap))
+    """All standard tableaux of the shape, as tuples of rows, sorted by
+    row-reading word."""
+    lam = _check_cap(lam, size_cap)
+    ends = [sum(lam[: i + 1]) for i in range(len(lam))]
+    return tuple(
+        tuple(tuple(word[s:e]) for s, e in zip([0] + ends, ends))
+        for word in _standard_tableaux(lam).tolist()
+    )
 
 
 @cache
-def _standard_tableaux(lam: Partition) -> tuple[StandardTableau, ...]:
+def _standard_tableaux(lam: Partition) -> np.ndarray:
+    """The row-reading words of the standard tableaux of the shape, one row
+    per tableau, in increasing order: a read-only (d, n) array of the
+    narrowest unsigned type that holds n."""
+    import numpy as np
+
     n = sum(lam)
+    dtype = np.min_scalar_type(n)
     if n == 0:
-        return ((),)
-    out = []
+        return np.zeros((1, 0), dtype=dtype)
+    blocks = []
     for i, part in enumerate(lam):
-        # n sits in a removable corner; recurse on what is left.
+        # n sits in a removable corner, the end of row i, after the first
+        # sum(lam[:i+1]) - 1 letters of the word; the rest is a smaller shape.
         if i + 1 == len(lam) or lam[i + 1] < part:
-            smaller = partition(lam[:i] + (part - 1,) + lam[i + 1 :])
-            for t in _standard_tableaux(smaller):
-                rows = [list(r) for r in t]
-                while len(rows) <= i:
-                    rows.append([])
-                rows[i].append(n)
-                out.append(tuple(tuple(r) for r in rows))
-    out.sort(key=lambda t: tuple(x for row in t for x in row))
-    return tuple(out)
+            smaller = _standard_tableaux(partition(lam[:i] + (part - 1,) + lam[i + 1 :]))
+            blocks.append(np.insert(smaller.astype(dtype), sum(lam[: i + 1]) - 1, n, axis=1))
+    words = np.concatenate(blocks)
+    words = words[np.lexsort(words.T[::-1])]  # the first letter sorts first
+    words.flags.writeable = False
+    return words
 
 
 @cache
@@ -239,17 +251,17 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
     """
     import numpy as np
 
-    tableaux = _standard_tableaux(lam)
-    d, rows, ones = len(tableaux), len(lam), lam.count(1)
+    words = _standard_tableaux(lam)
+    d, rows, ones = len(words), len(lam), lam.count(1)
     cells, targets, signs = _column_group(lam, ones)
     n = len(cells)
     gram = np.zeros((d, d), dtype=np.int32)
     if n == 0:  # the empty shape: one tableau, one tabloid
         gram[0, 0] = 1
         return gram
-    # cell_of[i, v]: the index in cells of the cell holding entry v + 1 of tableau i
-    where = [[t[r][c] - 1 for r, c in cells] for t in tableaux]
-    cell_of = np.argsort(np.array(where, dtype=np.intp).reshape(d, n), axis=1)
+    # cell_of[i, v]: the index in cells of the cell holding entry v + 1 of
+    # tableau i; cell (r, c) is letter sum(lam[:r]) + c of the word.
+    cell_of = np.argsort(words[:, [sum(lam[:r]) + c for r, c in cells]], axis=1)
     for m in range(n + 1):
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, prefix in enumerate(cell_of[:, :m].tolist()):
@@ -419,8 +431,11 @@ def _residues(a: np.ndarray, n: int) -> np.ndarray:
 def _group_ranks(a: np.ndarray, group: tuple[int, ...]) -> dict[int, int]:
     """Rank at each prime of the group of a nonempty int32 array of
     residues mod N, the product of the group, from one elimination over
-    Z/N that overwrites a: its pivots count at every prime, and each prime
-    ranks the leftover block on its own."""
+    Z/N that overwrites a: its pivots count at every prime, and the
+    leftover block is ranked once for the group.  A prime at which the
+    leftover is zero adds nothing; the others rank it together, as a
+    smaller group, or, if no prime drops out, each on its own.  Either way
+    each call works on fewer primes than its caller, so the recursion ends."""
     import numpy as np
 
     n = prod(group)
@@ -429,9 +444,15 @@ def _group_ranks(a: np.ndarray, group: tuple[int, ...]) -> dict[int, int]:
     else:
         panel = min(_PANEL, ((1 << 63) - n) // (n - 1) ** 2)
         rank, leftover = _blocked_rank(a, group, panel, np.int64)
+    ranks = dict.fromkeys(group, rank)
     if leftover.size == 0:  # always for a prime
-        return dict.fromkeys(group, rank)
-    return {q: rank + _group_ranks(_residues(leftover, q), (q,))[q] for q in group}
+        return ranks
+    live = tuple(q for q in group if (leftover % q).any())
+    subgroups = [live] if len(live) < len(group) else [(q,) for q in live]
+    for sub in filter(None, subgroups):
+        for q, r in _group_ranks(_residues(leftover, prod(sub)), sub).items():
+            ranks[q] += r
+    return ranks
 
 
 def _blocked_rank(
@@ -511,23 +532,23 @@ def _blocked_rank(
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank over Q of an integer matrix; ValueError if it is not one.
 
-    The largest rank mod the primes from _FLOAT_PRIME down, until it is full
-    or their product exceeds B = ((isqrt(w) + 1) * max|a_ij|)**m, a is m x w.
-    Exact: no rank mod p exceeds the rank r over Q, and a nonzero r x r minor
-    M has 0 < |M| <= B (Hadamard's inequality), so some prime used does not
-    divide M, and mod that prime the rank is r.
+    The largest rank r mod the primes from _FLOAT_PRIME down, until it is
+    full or their product exceeds B(r) = ((isqrt(r + 1) + 1) * max|a_ij|)**(r + 1).
+    Exact: no rank mod p exceeds the rank over Q, and if that rank were
+    above r, a nonzero (r + 1) x (r + 1) minor M would have 0 < |M| < B(r)
+    (Hadamard's inequality), so some prime used would not divide M, and
+    mod that prime the rank would be above r.
     """
     a = _integer_matrix(rows)
     if a.size == 0:
         return 0
-    m, w = a.shape
-    bound = ((isqrt(w) + 1) * max(int(a.max()), -int(a.min()))) ** m
+    entry = max(int(a.max()), -int(a.min()))
     rank, product = 0, 1
     for p in range(_FLOAT_PRIME, 2, -2):
         if is_prime(p):
             rank = max(rank, modular_rank(a, p))
             product *= p
-            if rank == min(m, w) or product > bound:
+            if rank == min(a.shape) or product > ((isqrt(rank + 1) + 1) * entry) ** (rank + 1):
                 return rank
     raise ValueError("entries too large for an exact rank")
 

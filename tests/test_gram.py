@@ -59,10 +59,21 @@ def test_tableaux_match_brute_enumeration(n):
         assert sorted(standard_tableaux(lam)) == sorted(oracles.standard_fillings(lam))
 
 
-def test_tableaux_come_out_in_row_reading_order():
-    tabs = standard_tableaux((3, 2))
+@pytest.mark.parametrize(
+    "lam, size_cap",
+    [(lam, gram_mod.DEFAULT_SIZE_CAP) for n in range(1, 10) for lam in partitions_of(n)]
+    + [((300,), 300), ((299, 1), 300)],
+    ids=str,
+)
+def test_tableaux_come_out_in_row_reading_order(lam, size_cap):
+    """Standard tableaux of the shape in strictly increasing row-reading
+    order, the rows of the word array; past n = 255 its entries outgrow uint8."""
+    tabs = standard_tableaux(lam, size_cap)
+    assert all(tuple(map(len, t)) == lam and is_standard(t) for t in tabs)
     words = [tuple(x for row in t for x in row) for t in tabs]
-    assert words == sorted(words)
+    assert words == sorted(set(words))
+    assert len(words) == specht_dimension(lam)
+    assert [tuple(w) for w in gram_mod._standard_tableaux(lam).tolist()] == words
 
 
 def test_is_standard():
@@ -463,6 +474,26 @@ def test_integer_rank_goes_past_primes_that_divide_a_minor():
     assert integer_rank([[2**70, 2**71], [2**69, 2**70]]) == 1
 
 
+def test_integer_rank_stops_at_the_bound_of_the_rank_found(monkeypatch):
+    """40 x 40 of rank 5, entries at most 50: two primes pass
+    ((isqrt(6) + 1) * 50)**6, where Hadamard's bound on a full minor,
+    ((isqrt(40) + 1) * 50)**40, would take 15."""
+    rng = np.random.default_rng(5)
+    rows = rng.integers(-50, 51, (5, 40))
+    a = rows[np.r_[0:5, rng.integers(0, 5, 35)]] * rng.choice([-1, 1], (40, 1))
+    assert np.abs(a).max() <= 50 and oracles.rank_over_Q(a.tolist()) == 5
+    calls = []
+    rank = gram_mod.modular_rank
+
+    def record(rows, p):
+        calls.append(p)
+        return rank(rows, p)
+
+    monkeypatch.setattr(gram_mod, "modular_rank", record)
+    assert integer_rank(a) == 5
+    assert len(calls) == 2
+
+
 def test_integer_rank_of_a_gram_matrix_is_immediate():
     g = gram_matrix((6, 3, 1))
     start = time.perf_counter()
@@ -555,16 +586,35 @@ def test_modular_ranks_on_planted_per_prime_ranks(monkeypatch, primes, b):
 
 
 @pytest.mark.parametrize(
-    "ranks",
-    [{5: 20, 7: 13, 11: 20}, {5: 20, 7: 0, 11: 20}, {5: 0, 7: 20, 11: 0}],
+    "ranks, expected_moduli",
+    [
+        ({5: 20, 7: 13, 11: 20}, [385, 55]),
+        ({5: 20, 7: 0, 11: 20}, [385, 55, 5, 11]),
+        ({5: 0, 7: 20, 11: 0}, [385, 7]),
+    ],
     ids=["deficient-mod-7", "zero-mod-7", "zero-mod-5-and-11"],
 )
-def test_modular_ranks_with_one_prime_apart(monkeypatch, ranks):
+def test_modular_ranks_with_one_prime_apart(monkeypatch, ranks, expected_moduli):
+    """The leftover is zero mod the prime apart, so the other primes rank it
+    together: mod 55, or mod 7 alone; when neither 5 nor 11 then drops out,
+    each ranks the new leftover on its own."""
     monkeypatch.setattr(gram_mod, "_PANEL", 8)
     moduli = _record_moduli(monkeypatch)
     a = _planted(np.random.default_rng(20), 20, 20, ranks)
     assert modular_ranks(a, tuple(ranks)) == ranks
-    assert moduli[0] == 385 and set(moduli[1:]) <= {5, 7, 11}
+    assert moduli == expected_moduli
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_leftover_is_ranked_once_by_the_other_primes(monkeypatch, q):
+    """Rank 12 mod q and full rank 24 mod the other two: the joint pass
+    leaves a block that is zero mod q, which the other two rank together."""
+    primes = (5, 7, 11)
+    moduli = _record_moduli(monkeypatch)
+    ranks = {p: 12 if p == q else 24 for p in primes}
+    a = _planted(np.random.default_rng(q), 30, 24, ranks)
+    assert modular_ranks(a, primes) == _reference_ranks(a, primes) == ranks
+    assert moduli == [385, 385 // q]
 
 
 @pytest.mark.parametrize("b", [8, 128])
@@ -645,11 +695,17 @@ def test_joint_ranks_of_10_2():
 RANKS_OF_10_2 = {5: 43, 7: 54, 11: 53, 8388617: 54}
 
 
+# The moduli of (10,2)'s eliminations: the leftover of the joint pass is
+# zero mod 5, so 7 and 11 (or 7 alone) rank it together, and 8388617 is a
+# second group, past the float bound.
+MODULI_OF_10_2 = {(5, 7, 11): [385, 77, 7], (5, 7, 8388617): [35, 7, 8388617]}
+
+
 @pytest.mark.parametrize("kind", ["int32", "int64", "list", "read-only"])
 @pytest.mark.parametrize("primes", [(5, 7, 11), (5, 7, 8388617)], ids=str)
 def test_rank_calls_leave_the_matrix_unchanged(monkeypatch, kind, primes):
-    """(10,2) has columns without a unit mod 385, deferred and ranked per
-    prime; 8388617 is a second group, past the float bound."""
+    """(10,2) has columns without a unit mod 385 (or 35), deferred and
+    ranked after the joint pass."""
     g = gram_matrix((10, 2))
     if kind == "list":
         rows = [row[:] for row in g]
@@ -658,7 +714,7 @@ def test_rank_calls_leave_the_matrix_unchanged(monkeypatch, kind, primes):
         rows.flags.writeable = kind != "read-only"
     moduli = _record_moduli(monkeypatch)
     assert modular_ranks(rows, primes) == {p: RANKS_OF_10_2[p] for p in primes}
-    assert 5 in moduli  # deferred columns, ranked mod 5 alone
+    assert moduli == MODULI_OF_10_2[primes]
     for p in primes:
         assert modular_rank(rows, p) == RANKS_OF_10_2[p]
     assert (rows if kind == "list" else rows.tolist()) == g
