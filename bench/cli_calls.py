@@ -12,14 +12,18 @@ and stdout must equal the pinned ones; an entry without pinned output must
 give the same exit code and stdout on every checkout.  A mismatch stops the
 script before it writes anything.  Per argv and checkout it reports the
 median wall time and the median peak RSS of the process; per checkout, the
-sum of the medians.  The environment (PYTHONDONTWRITEBYTECODE, BLAS thread
-counts) is inherited and recorded.  Uses the stdlib only.
+sum of the medians, and the median and nearest-rank 90th percentile of the
+runs of all calls pooled (perfbench pools cli_session's op_p50_ms and
+op_tail_ms so, after scaling to a reference speed).  The environment
+(PYTHONDONTWRITEBYTECODE, BLAS thread counts) is inherited and recorded.
+Uses the stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -87,7 +91,15 @@ def measure(checkouts: dict[str, str], entries: list[dict], repeat: int) -> dict
             }
         )
     total = {name: sum(call[name]["wall_ms"] for call in calls) for name in names}
-    return {"calls": calls, "total_wall_ms": total}
+    pooled = {}
+    for name in names:
+        ms = sorted(r[2] for per_call in runs[name] for r in per_call)
+        pooled[name] = {
+            "runs": len(ms),
+            "p50_ms": statistics.median(ms),
+            "p90_ms": ms[math.ceil(0.9 * len(ms)) - 1],
+        }
+    return {"calls": calls, "total_wall_ms": total, "pooled_wall_ms": pooled}
 
 
 def _git(checkout: str, *args: str) -> str:

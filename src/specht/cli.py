@@ -13,7 +13,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import TYPE_CHECKING, Sequence
@@ -232,12 +231,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # One BLAS thread unless the caller chose otherwise: on a 2-vCPU host it
+    # is no slower idle and faster beside one busy process (CHANGES.md).
+    # numpy reads these when it loads, which the Gram work does after this.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     args = build_parser().parse_args(argv)
     try:
         obj, text, *code = args.func(args)
+        if args.json:
+            import json  # only here: a text call does not pay its import
+
+            text = json.dumps(obj)
         # One write: output that fits the pipe is all in it before a reader
         # such as `head -1` can close it, so no later write meets EPIPE.
-        sys.stdout.write((json.dumps(obj) if args.json else text) + "\n")
+        sys.stdout.write(text + "\n")
         return code[0] if code else 0
     except RuntimeError as exc:
         # TooLarge, SearchExhausted, and the Pollard rho self-check.

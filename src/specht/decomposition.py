@@ -11,7 +11,6 @@ closed polynomial dimension formulas split by the residue of n modulo the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -69,12 +68,37 @@ Label = str
 Term = tuple[Label, Partition]
 
 
-@dataclass(frozen=True)
 class RimHookChain:
-    """Strictly dominance-decreasing partitions ending at the base the chain was built from."""
+    """Strictly dominance-decreasing partitions ending at the base the chain was built from.
 
-    elements: tuple[Partition, ...]
-    m: int
+    Immutable; equal and hashed by (elements, m).
+    """
+
+    __slots__ = ("elements", "m")
+
+    def __init__(self, elements: tuple[Partition, ...], m: int):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.elements, self.m)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.elements, self.m) == (other.elements, other.m)
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.m))
+
+    def __repr__(self) -> str:
+        return f"RimHookChain(elements={self.elements!r}, m={self.m!r})"
 
     @property
     def base(self) -> Partition:
@@ -313,7 +337,6 @@ def irreducible_dimension_formula(mu: Partition, m: int) -> RationalPolynomial:
     return _dimension_formula(mu, m)
 
 
-@dataclass
 class CongruencePolynomial:
     """A dimension polynomial split by the residue of n modulo the characteristic.
 
@@ -323,8 +346,20 @@ class CongruencePolynomial:
     default.
     """
 
-    cases: dict[int, RationalPolynomial]
-    default: RationalPolynomial
+    __slots__ = ("cases", "default")
+    __hash__ = None  # mutable
+
+    def __init__(self, cases: dict[int, RationalPolynomial], default: RationalPolynomial):
+        self.cases = cases
+        self.default = default
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cases, self.default) == (other.cases, other.default)
+
+    def __repr__(self) -> str:
+        return f"CongruencePolynomial(cases={self.cases!r}, default={self.default!r})"
 
     def polynomial_for(self, m: int) -> RationalPolynomial:
         return self.cases.get(m, self.default)

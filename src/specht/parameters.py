@@ -9,8 +9,7 @@ are produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .primes import prime_factors
 
@@ -64,8 +63,7 @@ def evaluate(coeffs: Coefficients, t: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class ParameterPair:
+class ParameterPair(NamedTuple):
     t: int
     p: int
 
@@ -80,10 +78,12 @@ def prime_parameter_sequence(
     p | q(t) with q(t) > 0, and t minimal for its prime.
 
     Scans t upward, skipping nonpositive values; at each value it accepts the
-    smallest prime factor beating every prime accepted so far, then rewinds t
-    to the least positive-value witness of that prime among the values
-    already scanned. Only prime factors above the last accepted prime are
-    searched for. SearchExhausted once t passes ``search_limit``.
+    smallest prime factor beating every prime accepted so far, reported with
+    the first t at which it was a candidate. Only prime factors above the
+    last accepted prime are searched for, and that is enough for the
+    witness: a prime p accepted at t exceeds every earlier ``last``, so it
+    was a candidate at every earlier s with q(s) > 0 and p | q(s).
+    SearchExhausted once t passes ``search_limit``.
     """
     q = integer_polynomial(coeffs)
     if count < 1:
@@ -92,18 +92,18 @@ def prime_parameter_sequence(
         raise ValueError("search limit must be positive")
     pairs: list[ParameterPair] = []
     last = p_min
-    values: list[int] = []  # q(1), ..., q(t)
+    first: dict[int, int] = {}  # candidate prime -> the first t it divided
     for t in range(1, search_limit + 1):
         v = evaluate(q, t)
-        values.append(v)
         if v <= 1:
             continue
         candidates = prime_factors(v, above=last)
         if not candidates:
             continue
+        for c in candidates:
+            first.setdefault(c, t)
         p = candidates[0]
-        witness = next(s for s, w in enumerate(values, 1) if w > 0 and w % p == 0)
-        pairs.append(ParameterPair(witness, p))
+        pairs.append(ParameterPair(first[p], p))
         last = p
         if len(pairs) == count:
             return pairs

@@ -4,8 +4,9 @@
 3.3e24 (in particular for all 64-bit integers; four bases suffice below
 3.2e9); beyond that bound the same fixed bases make it a very strong
 probable-prime test. Factorization trial-divides by the primes below 2**8,
-then splits what is left with Miller-Rabin and Pollard rho (fixed seeds),
-so it stays deterministic as well.
+then splits what is left with Miller-Rabin and Brent's variant of Pollard
+rho (R. P. Brent, BIT 20 (1980) 176-184: one gcd per batch of steps, fixed
+seeds), so it stays deterministic as well.
 """
 
 from __future__ import annotations
@@ -102,19 +103,42 @@ def _factor_into(v: int, out: set[int], above: int) -> None:
     _factor_into(v // d, out, above)
 
 
+# Steps of the walk whose differences share one gcd.
+_RHO_BATCH = 128
+
+
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of an odd composite with no prime factor below
-    2**8 (the trial-division table)."""
+    2**8 (the trial-division table).
+
+    Brent's cycle finding on x -> x^2 + c from x = 2, for c = 1, 2, ...: y
+    runs r steps past the saved x, r doubling, and the differences x - y are
+    multiplied mod n with one gcd per batch.  A batch whose gcd is n is
+    walked again one step and one gcd at a time; a walk that still meets n
+    (x = y mod every prime factor) moves on to the next c.
+    """
     if n % 2 == 0:
         return 2
     for c in range(1, 1000):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
     raise RuntimeError(f"rho failed to split {n}")

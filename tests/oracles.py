@@ -395,13 +395,19 @@ def prime_pairs_by_trial_division(coeffs, count, p_min):
         if not fresh:
             continue
         p = fresh[0]
-        for s in range(1, t + 1):
-            w = poly_value(coeffs, s)
-            if w > 0 and w % p == 0:
-                pairs.append((s, p))
-                break
+        pairs.append((least_witness(coeffs, p), p))
         last = p
     return pairs
+
+
+def least_witness(coeffs, p):
+    """The least t >= 1 with q(t) > 0 and p | q(t), by rescanning from 1."""
+    t = 1
+    while True:
+        w = poly_value(coeffs, t)
+        if w > 0 and w % p == 0:
+            return t
+        t += 1
 
 
 def census_by_trial_division(coeffs, limit):

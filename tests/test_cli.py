@@ -379,14 +379,19 @@ def test_cli_output_is_byte_deterministic():
 # ---------------------------------------------------------------------------
 # numpy is loaded by the Gram oracle only
 
+# The modules a bare interpreter holds are taken before the probe imports
+# anything, so every module the call loads shows, json included.
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
-import specht, specht.cli
+import sys
+bare = set(sys.modules)
+import io
+import specht.cli
 code = None
 if sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = specht.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(sys.modules)]))
+    sys.stdout = sys.stderr = io.StringIO()
+    code = specht.cli.main(sys.argv[1:])
+    sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+print(code, *sorted(set(sys.modules) - bare))
 """
 
 _NO_ORACLE = ("gram", "verify")
@@ -409,26 +414,56 @@ _FORMULA_CALLS = [
 
 
 def _probe_imports(argv):
-    """Exit code and sys.modules after one CLI call in a fresh interpreter
-    (tier-1 itself has every module loaded already)."""
+    """Exit code and the modules one CLI call in a fresh interpreter adds to
+    a bare one's (tier-1 itself has every module loaded already)."""
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *argv],
         capture_output=True,
+        text=True,
         env=_child_env(),
         check=True,
     )
-    code, modules = json.loads(proc.stdout)
-    return code, set(modules)
+    code, *modules = proc.stdout.split()
+    return None if code == "None" else int(code), set(modules)
 
 
 def test_numpy_is_loaded_only_by_gram_work():
-    """And a formula call loads none of the oracle's modules."""
+    """And a formula call loads none of the oracle's modules, nor dataclasses
+    or inspect, and json only under --json."""
     for argv, code, unused in _FORMULA_CALLS:
         got, modules = _probe_imports(argv)
         loaded = {name for name in unused if f"specht.{name}" in modules}
-        assert (got, loaded, "numpy" in modules) == (code, set(), False), argv
+        loaded |= modules & {"numpy", "dataclasses", "inspect"}
+        assert (got, loaded, "json" in modules) == (code, set(), "--json" in argv), argv
     code, modules = _probe_imports(["gram-rank", "[2,1]", "3"])
     assert (code, "numpy" in modules, "specht.verify" in modules) == (0, True, False)
+
+
+_BLAS_PROBE = """
+import io, os, sys
+import specht.cli
+sys.stdout = io.StringIO()
+code = specht.cli.main(["gram-rank", "[2,1]", "3"])
+sys.stdout = sys.__stdout__
+print(code, "numpy" in sys.modules, *(os.environ.get(v) for v in sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "3"}]
+)
+def test_cli_pins_one_blas_thread_unless_set(preset):
+    names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+    env = {k: v for k, v in _child_env().items() if k not in names}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE, *names],
+        capture_output=True,
+        text=True,
+        env={**env, **preset},
+        check=True,
+    )
+    want = ["0", "True"] + [preset.get(name, "1") for name in names]
+    assert proc.stdout.split() == want
 
 
 # ---------------------------------------------------------------------------

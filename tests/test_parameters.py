@@ -2,7 +2,7 @@
 
 import json
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -150,6 +150,32 @@ def test_prime_factors_above_keeps_the_larger_ones(n, data):
     assert prime_factors(n, above=above) == [f for f in prime_factors(n) if f > above]
 
 
+# Factor pairs (a, b) on whose product a batch gcd of Brent's rho meets the
+# product itself, so the factor comes from walking the batch again.
+_BACKTRACK_CASES = {
+    "squares": [(p, p) for p in _PAST_TABLE],
+    "nearby primes": list(zip(_PAST_TABLE, _PAST_TABLE[1:])),
+    "62-bit semiprime": [(2147483423, 2147483489)],
+}
+
+
+@pytest.mark.parametrize("kind", list(_BACKTRACK_CASES))
+def test_prime_factors_through_the_rho_backtrack(kind, monkeypatch):
+    overshoots = []
+
+    def spy(a, n):
+        g = gcd(a, n)
+        if g == n:
+            overshoots.append(n)
+        return g
+
+    monkeypatch.setattr("specht.primes.gcd", spy)
+    for a, b in _BACKTRACK_CASES[kind]:
+        want = oracles.trial_prime_factors(a) | oracles.trial_prime_factors(b)
+        assert prime_factors(a * b) == sorted(want)
+    assert overshoots
+
+
 def test_prime_factors_above_examples():
     n = 2**4 * 257 * 65521
     assert prime_factors(n, above=2) == [257, 65521]
@@ -212,6 +238,24 @@ def test_sequence_contract(coeffs, count, p_min):
 def test_sequence_matches_trial_division_oracle(coeffs, count, p_min):
     got = [(pair.t, pair.p) for pair in prime_parameter_sequence(coeffs, count, p_min)]
     assert got == oracles.prime_pairs_by_trial_division(coeffs, count, p_min)
+
+
+@pytest.mark.parametrize(
+    "coeffs,count,p_min",
+    [
+        ((1, 0, 1), 200, 2),
+        ((3, 0, 0, 0, 1), 100, 2),
+        ((-3, 1), 100, 0),
+        ((1, 1, 1), 100, 0),
+        # Pairs 2 and 4 are accepted after the t that reports them.
+        ((-28, -8, 3), 20, 10),
+    ],
+)
+def test_each_witness_is_the_least_by_rescan(coeffs, count, p_min):
+    pairs = prime_parameter_sequence(coeffs, count, p_min=p_min)
+    assert [pair.t for pair in pairs] == [
+        oracles.least_witness(coeffs, pair.p) for pair in pairs
+    ]
 
 
 _CLI_EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "cli_expected.json"
