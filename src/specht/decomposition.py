@@ -32,22 +32,6 @@ from .partitions import (
     removable_rim_hooks,
 )
 
-__all__ = [
-    "SizeError",
-    "NotTotallyOrdered",
-    "FamilyIncomplete",
-    "SPECHT",
-    "IRREDUCIBLE",
-    "RimHookChain",
-    "rim_hook_chain",
-    "GrothendieckVector",
-    "decompose_irreducible",
-    "decompose_standard",
-    "irreducible_dimension_formula",
-    "CongruencePolynomial",
-    "irreducible_dimension_table",
-]
-
 
 class SizeError(ValueError):
     """Residue parameter outside 0 <= m < |lambda|."""
@@ -290,11 +274,6 @@ def decompose_standard(
     return GrothendieckVector({(IRREDUCIBLE, fam[j]): c for j, c in enumerate(x)})
 
 
-def _chain_tails(mu: Partition, m: int, n: int) -> tuple[Partition, ...]:
-    chain = rim_hook_chain(pad_partition(mu, n), m)
-    return tuple(el[1:] for el in chain.elements)
-
-
 def _stable_n(mu: Partition, m: int) -> int:
     """An n from which on the chain tails of (n - |mu|, mu) at residue m do
     not depend on n.
@@ -314,12 +293,10 @@ def _stable_n(mu: Partition, m: int) -> int:
 
 @cache
 def _dimension_formula(mu: Partition, m: int) -> RationalPolynomial:
-    tails = _chain_tails(mu, m, _stable_n(mu, m))
-    d = len(tails) - 1
+    lam = pad_partition(mu, _stable_n(mu, m))
     poly = RationalPolynomial()
-    for i, tail in enumerate(tails):
-        term = specht_dimension_polynomial(tail)
-        poly = poly + term if (d - i) % 2 == 0 else poly - term
+    for (_label, part), coeff in decompose_irreducible(lam, m).items():
+        poly = poly + specht_dimension_polynomial(part[1:]) * coeff
     return poly
 
 

@@ -21,15 +21,6 @@ from typing import Iterable, Union
 
 from .partitions import Partition, conjugate, hook_lengths, partition
 
-__all__ = [
-    "EmptyPartition",
-    "RationalPolynomial",
-    "specht_dimension",
-    "padding_threshold",
-    "pad_partition",
-    "specht_dimension_polynomial",
-]
-
 
 class EmptyPartition(ValueError):
     """The dimension of the empty shape is not defined here."""

@@ -46,22 +46,6 @@ from typing import Iterable, Iterator, Sequence
 from .partitions import DEFAULT_SIZE_CAP, Partition, format_partition, partition
 from .primes import NotPrime, is_prime
 
-__all__ = [
-    "DEFAULT_SIZE_CAP",
-    "TooLarge",
-    "StandardTableau",
-    "Tabloid",
-    "standard_tableaux",
-    "polytabloid",
-    "gram_matrix",
-    "modular_rank",
-    "modular_ranks",
-    "integer_rank",
-    "gram_rank_mod_p",
-    "gram_ranks_mod_p",
-    "gram_rank_rational",
-    "format_gram_dump",
-]
 
 _MAX_COLUMN_GROUP = 10_000_000
 # Most incidence entries paired at a time in Gram assembly (a batch takes
@@ -73,6 +57,8 @@ _PAIRS = 1 << 18
 _PANEL = 128
 # The largest prime that _float_exact admits.
 _FLOAT_PRIME = 8388593
+# Most cells of a shape whose tableaux are built by plain recursion.
+_RECURSION_CELLS = 64
 
 StandardTableau = tuple[tuple[int, ...], ...]
 Tabloid = tuple[tuple[int, ...], ...]
@@ -100,28 +86,54 @@ def standard_tableaux(
     ends = [sum(lam[: i + 1]) for i in range(len(lam))]
     return tuple(
         tuple(tuple(word[s:e]) for s, e in zip([0] + ends, ends))
-        for word in _standard_tableaux(lam).tolist()
+        for word in _tableaux(lam).tolist()
     )
+
+
+def _tableaux(lam: Partition) -> np.ndarray:
+    """_standard_tableaux(lam), at a recursion depth that does not grow
+    with n.  Past _RECURSION_CELLS cells, every smaller shape inside lam is
+    looked up first, smallest first, so each one not yet cached finds its
+    own smaller shapes cached and recurses one level."""
+    if sum(lam) > _RECURSION_CELLS:
+        layers = [[lam]]
+        while layers[-1][0]:  # down to the empty shape, one size at a time
+            smaller = (s for shape in layers[-1] for _, s in _corners(shape))
+            layers.append(list(dict.fromkeys(smaller)))
+        for layer in reversed(layers[1:]):
+            for shape in layer:
+                _standard_tableaux(shape)
+    return _standard_tableaux(lam)
+
+
+def _corners(lam: Partition) -> Iterator[tuple[int, Partition]]:
+    """For each removable corner of the shape, the place of its cell in the
+    row-reading word, and the smaller shape without it."""
+    end = 0
+    for i, part in enumerate(lam):
+        end += part
+        if i + 1 == len(lam) or lam[i + 1] < part:
+            yield end - 1, partition(lam[:i] + (part - 1,) + lam[i + 1 :])
 
 
 @cache
 def _standard_tableaux(lam: Partition) -> np.ndarray:
     """The row-reading words of the standard tableaux of the shape, one row
     per tableau, in increasing order: a read-only (d, n) array of the
-    narrowest unsigned type that holds n."""
+    narrowest unsigned type that holds n.  One level of recursion per cell
+    whose smaller shape is not cached: call it through _tableaux."""
     import numpy as np
 
     n = sum(lam)
     dtype = np.min_scalar_type(n)
     if n == 0:
         return np.zeros((1, 0), dtype=dtype)
-    blocks = []
-    for i, part in enumerate(lam):
-        # n sits in a removable corner, the end of row i, after the first
-        # sum(lam[:i+1]) - 1 letters of the word; the rest is a smaller shape.
-        if i + 1 == len(lam) or lam[i + 1] < part:
-            smaller = _standard_tableaux(partition(lam[:i] + (part - 1,) + lam[i + 1 :]))
-            blocks.append(np.insert(smaller.astype(dtype), sum(lam[: i + 1]) - 1, n, axis=1))
+    # n sits in a removable corner; the rest is a standard tableau of the
+    # smaller shape.
+    blocks = [
+        np.insert(_standard_tableaux(smaller).astype(dtype), at, n, axis=1)
+        for at, smaller in _corners(lam)
+    ]
     words = np.concatenate(blocks)
     words = words[np.lexsort(words.T[::-1])]  # the first letter sorts first
     words.flags.writeable = False
@@ -251,7 +263,7 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
     """
     import numpy as np
 
-    words = _standard_tableaux(lam)
+    words = _tableaux(lam)
     d, rows, ones = len(words), len(lam), lam.count(1)
     cells, targets, signs = _column_group(lam, ones)
     n = len(cells)
@@ -393,11 +405,20 @@ def modular_ranks(rows: Sequence[Sequence[int]], primes: Iterable[int]) -> dict[
     return _ranks(_integer_matrix(rows), primes, in_place=False)
 
 
-def _ranks(a: np.ndarray, primes: list[int], in_place: bool) -> dict[int, int]:
-    """modular_ranks of an integer array at checked primes.  With in_place,
-    a is an int32 array the caller gives up: the last group reduces it in
-    place, and only the groups before it (primes past the float bound)
-    take a residue copy each."""
+def _ranks(a: np.ndarray, primes: Sequence[int], in_place: bool) -> dict[int, int]:
+    """modular_ranks of an integer array at checked primes.
+
+    The primes are grouped (see modular_ranks), and each group is one
+    elimination over Z/N, N their product, of a mod N: its pivots count at
+    every prime of the group.  With in_place, a is an int32 array the
+    caller gives up, and the last group reduces it in place; every other
+    group takes a residue copy.  The leftover block (never for one prime)
+    is ranked once more: a prime at which it is zero adds nothing, and the
+    others rank it together, as a smaller group, or each alone if none
+    drops out.  Either way each call works on fewer primes than its caller,
+    so the recursion ends."""
+    import numpy as np
+
     if a.size == 0:
         return dict.fromkeys(primes, 0)
     groups: list[tuple[int, ...]] = []
@@ -411,9 +432,18 @@ def _ranks(a: np.ndarray, primes: list[int], in_place: bool) -> dict[int, int]:
         n = prod(group)
         if in_place and i == len(groups) - 1:
             a %= n
-            ranks.update(_group_ranks(a, group))
+            residues = a
         else:
-            ranks.update(_group_ranks(_residues(a, n), group))
+            residues = _residues(a, n)
+        exact = _float_exact(n)
+        panel = _PANEL if exact else min(_PANEL, ((1 << 63) - n) // (n - 1) ** 2)
+        rank, leftover = _blocked_rank(residues, group, panel, np.float64 if exact else np.int64)
+        ranks.update(dict.fromkeys(group, rank))
+        if leftover.size:
+            live = tuple(q for q in group if (leftover % q).any())
+            for sub in [live] if len(live) < len(group) else [(q,) for q in live]:
+                for q, r in _ranks(leftover, sub, in_place=False).items():
+                    ranks[q] += r
     return {p: ranks[p] for p in primes}
 
 
@@ -426,33 +456,6 @@ def _residues(a: np.ndarray, n: int) -> np.ndarray:
     kind = np.promote_types(a.dtype, np.min_scalar_type(n))
     out = np.empty(a.shape, dtype=np.int32)
     return np.remainder(a, n, out=out, dtype=kind, casting="unsafe")
-
-
-def _group_ranks(a: np.ndarray, group: tuple[int, ...]) -> dict[int, int]:
-    """Rank at each prime of the group of a nonempty int32 array of
-    residues mod N, the product of the group, from one elimination over
-    Z/N that overwrites a: its pivots count at every prime, and the
-    leftover block is ranked once for the group.  A prime at which the
-    leftover is zero adds nothing; the others rank it together, as a
-    smaller group, or, if no prime drops out, each on its own.  Either way
-    each call works on fewer primes than its caller, so the recursion ends."""
-    import numpy as np
-
-    n = prod(group)
-    if _float_exact(n):
-        rank, leftover = _blocked_rank(a, group, _PANEL, np.float64)
-    else:
-        panel = min(_PANEL, ((1 << 63) - n) // (n - 1) ** 2)
-        rank, leftover = _blocked_rank(a, group, panel, np.int64)
-    ranks = dict.fromkeys(group, rank)
-    if leftover.size == 0:  # always for a prime
-        return ranks
-    live = tuple(q for q in group if (leftover % q).any())
-    subgroups = [live] if len(live) < len(group) else [(q,) for q in live]
-    for sub in filter(None, subgroups):
-        for q, r in _group_ranks(_residues(leftover, prod(sub)), sub).items():
-            ranks[q] += r
-    return ranks
 
 
 def _blocked_rank(
@@ -598,8 +601,9 @@ def format_gram_dump(lam: Partition, p: int, size_cap: int = DEFAULT_SIZE_CAP) -
 
 def _gram_dump_lines(lam: Partition, p: int, size_cap: int) -> Iterator[str]:
     """The lines of format_gram_dump, each with its newline, one at a time."""
+    lam = _check_cap(lam, size_cap)
     _checked((p,), kernel=False)
-    gram = _gram_matrix_cached(_check_cap(lam, size_cap))
+    gram = _gram_matrix_cached(lam)
     yield f"{len(gram)} {p}\n"
     for row in gram:  # one row of Python ints at a time, not d**2 of them
         yield " ".join([str(v % p) for v in row.tolist()]) + "\n"

@@ -13,17 +13,6 @@ from typing import Iterable, NamedTuple
 
 from .primes import prime_factors
 
-__all__ = [
-    "SearchExhausted",
-    "Coefficients",
-    "ParameterPair",
-    "integer_polynomial",
-    "parse_coefficients",
-    "evaluate",
-    "prime_parameter_sequence",
-    "divisor_prime_census",
-]
-
 
 class SearchExhausted(RuntimeError):
     """Safety ceiling hit before enough parameter pairs were found."""

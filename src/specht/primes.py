@@ -14,8 +14,6 @@ from __future__ import annotations
 from functools import cache
 from math import gcd, isqrt
 
-__all__ = ["NotPrime", "is_prime", "prime_factors"]
-
 
 class NotPrime(ValueError):
     """An argument that must be prime is not."""

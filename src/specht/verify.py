@@ -21,11 +21,9 @@ from .decomposition import (
     irreducible_dimension_formula,
 )
 from .dimensions import pad_partition
-from .gram import DEFAULT_SIZE_CAP, TooLarge, _checked, gram_ranks_mod_p
+from .gram import TooLarge, _checked, gram_ranks_mod_p
 from .gram import gram_rank_mod_p  # noqa: F401  a tracer boundary in perfbench/tracing.py
-from .partitions import Partition, format_partition, is_p_regular, partition
-
-__all__ = ["VerificationRecord", "VerificationReport", "run_verification"]
+from .partitions import DEFAULT_SIZE_CAP, Partition, format_partition, is_p_regular, partition
 
 
 @dataclass

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import specht.gram as gram_mod
 from specht import GrothendieckVector, format_gram_dump, format_partition
 from specht.cli import main
 
@@ -127,6 +128,17 @@ def test_verify_text_passes():
     )
     assert code == 0
     assert "verdict: PASS" in out
+
+
+def test_verify_long_rows_from_a_cold_cache():
+    """Building the tableaux of (501) and (500, 1) from an empty cache once
+    passed the recursion limit and aborted the whole grid with exit 3."""
+    gram_mod._standard_tableaux.cache_clear()
+    argv = ["--mu", "[]", "--mu", "[1]", "--p", "5", "--n-min", "499", "--n-max", "501"]
+    code, out, _ = run_cli("verify", *argv, "--size-cap", "600")
+    assert code == 0
+    assert "records: 6\n" in out and "matches: 6\n" in out
+    assert out.endswith("verdict: PASS\n")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from specht import (
     specht_dimension_polynomial,
     tail_bounded_partitions,
 )
-from specht.decomposition import _chain_tails, _stable_n
+from specht.decomposition import _stable_n
 
 
 def S(*parts):
@@ -375,6 +375,11 @@ def test_table_cases_are_the_first_row_hook_residues(mu):
     for m in range(2 * sum(mu) + 4):
         if m not in residues:
             assert irreducible_dimension_formula(mu, m) == table.default, m
+
+
+def _chain_tails(mu, m, n):
+    chain = rim_hook_chain(pad_partition(mu, n), m)
+    return tuple(el[1:] for el in chain.elements)
 
 
 @pytest.mark.parametrize(

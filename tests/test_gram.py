@@ -90,6 +90,28 @@ def test_standard_tableaux_respects_size_cap():
     assert len(standard_tableaux((17,), size_cap=17)) == 1
 
 
+def test_tableaux_built_smallest_first_match_the_recursion(monkeypatch):
+    """Past _RECURSION_CELLS, _tableaux builds every smaller shape first;
+    with the bound at 0 every shape takes that path, from an empty cache."""
+    shapes = [lam for n in range(1, 9) for lam in partitions_of(n)]
+    expected = {lam: gram_mod._standard_tableaux(lam) for lam in shapes}
+    monkeypatch.setattr(gram_mod, "_RECURSION_CELLS", 0)
+    for lam in reversed(shapes):
+        gram_mod._standard_tableaux.cache_clear()
+        words = gram_mod._tableaux(lam)
+        assert words.dtype == expected[lam].dtype and np.array_equal(words, expected[lam])
+
+
+def test_long_rows_rank_on_a_cold_cache():
+    """A cold recursion of one level per cell passes Python's recursion
+    limit near n = 500."""
+    gram_mod._standard_tableaux.cache_clear()
+    assert gram_ranks_mod_p((600,), [5], size_cap=600) == {5: 1}
+    gram_mod._standard_tableaux.cache_clear()
+    assert oracles.peel_hook_dimension(600, 1, 5) == 598
+    assert gram_ranks_mod_p((599, 1), [5], size_cap=600) == {5: 598}
+
+
 # ---------------------------------------------------------------------------
 # polytabloids and the Gram matrix
 
@@ -761,9 +783,13 @@ def test_rank_call_holds_one_int32_matrix():
 def test_gram_ranks_check_the_cap_then_each_prime_before_assembly(monkeypatch):
     with pytest.raises(TooLarge):
         gram_ranks_mod_p((9, 8), (5, 4))
+    with pytest.raises(TooLarge):
+        format_gram_dump((20,), 4)
     monkeypatch.setattr(gram_mod, "_gram_matrix_cached", None)  # never reached
     with pytest.raises(NotPrime, match="^4 is not prime$"):
         gram_ranks_mod_p((2, 1), (5, 4, 6))
+    with pytest.raises(NotPrime, match="^4 is not prime$"):
+        format_gram_dump((2, 1), 4)
     with pytest.raises(ValueError, match="too large"):
         gram_ranks_mod_p((2, 1), (5, 2147483659))
 

@@ -29,6 +29,11 @@ def test_star_import_and_dir_cover_all():
     assert set(specht.__all__) <= set(dir(specht))
 
 
+def test_each_public_name_is_listed_once():
+    names = [name for names in specht._EXPORTS.values() for name in names]
+    assert len(names) == len(set(names)) == len(specht.__all__)
+
+
 @pytest.mark.parametrize("module", [specht, specht.cli])
 def test_unknown_name_is_an_attribute_error(module):
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):

@@ -1,7 +1,7 @@
 """Prime parameter pairs (t, p) with p | q(t), and the divisor-prime census."""
 
 import json
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -122,7 +122,8 @@ def test_prime_factors_examples():
 def _primes_between(lo, hi, k):
     """The first k primes met walking from lo towards hi (either way)."""
     step = 1 if hi > lo else -1
-    return [n for n in range(lo, hi, step) if oracles.trial_prime_factors(n) == {n}][:k]
+    primes = (n for n in range(lo, hi, step) if oracles.trial_prime_factors(n) == {n})
+    return list(islice(primes, k))
 
 
 # The first primes above the trial-division table, the last primes below
