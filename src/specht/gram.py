@@ -94,7 +94,9 @@ def _tableaux(lam: Partition) -> np.ndarray:
     """_standard_tableaux(lam), at a recursion depth that does not grow
     with n.  Past _RECURSION_CELLS cells, every smaller shape inside lam is
     looked up first, smallest first, so each one not yet cached finds its
-    own smaller shapes cached and recurses one level."""
+    own smaller shapes cached and recurses one level.  The walk sits here,
+    not in the cached function, where each shape it fills would walk its
+    own smaller shapes again; smaller shapes skip it and recurse."""
     if sum(lam) > _RECURSION_CELLS:
         layers = [[lam]]
         while layers[-1][0]:  # down to the empty shape, one size at a time
