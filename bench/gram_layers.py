@@ -10,12 +10,11 @@ attributes of ``specht.gram``: ``_standard_tableaux`` (tableaux),
 and ``modular_rank`` on the assembled matrix (elimination, per prime).  On
 the JOINT_SHAPES it then ranks the assembled matrix at the grid's primes
 5, 7, 11 twice: one ``modular_rank`` call per prime, and one
-``modular_ranks`` call for all three where the checkout has it (the
-``joint`` row).  A second fresh interpreter
-per (shape, prime) times ``gram_rank_mod_p`` end to end, which is the path
-users take, and reports its peak RSS.  A third, per JOINT_CALLS entry, times
-one ``gram_ranks_mod_p`` call (assembly and elimination; numpy imported
-before the clock) and reports its peak RSS: the grid's shapes,
+``modular_ranks`` call for all three (the ``joint`` row).  A second fresh
+interpreter per (shape, prime) times ``gram_rank_mod_p`` end to end, which
+is the path users take, and reports its peak RSS.  A third, per JOINT_CALLS
+entry, times one ``gram_ranks_mod_p`` call (assembly and elimination; numpy
+imported before the clock) and reports its peak RSS: the grid's shapes,
 (14,2,1,1), d = 7 020, at |mu| = 4, and the tall (3,3,1^6) at 7, 11, 13.
 Each figure is the median of K runs, the checkouts taking turns run by run.
 Results are merged into the output file under NAME, next to the machine
@@ -76,13 +75,13 @@ def _layers(lam: tuple[int, ...]) -> dict:
     }
     if lam in JOINT_SHAPES:
         start = time.perf_counter()
-        per_prime = {p: gram.modular_rank(matrix, p) for p in JOINT_PRIMES}
+        for p in JOINT_PRIMES:
+            gram.modular_rank(matrix, p)
         middle = time.perf_counter()
-        one_call = getattr(gram, "modular_ranks", None)
-        joint = one_call(matrix, JOINT_PRIMES) if one_call else per_prime
+        joint = gram.modular_ranks(matrix, JOINT_PRIMES)
         out["joint"] = {
             "per_prime_s": middle - start,
-            "one_call_s": time.perf_counter() - middle if one_call else None,
+            "one_call_s": time.perf_counter() - middle,
             "rank": joint,
         }
     return out
@@ -168,11 +167,10 @@ def measure(checkouts: dict[str, str], repeat: int) -> tuple[dict, dict]:
                 "gram_rank_mod_p": {},
             }
             if "joint" in layer_runs[0]:
-                one_call = layer_runs[0]["joint"]["one_call_s"] is not None
                 entry["joint"] = {
                     "primes": list(JOINT_PRIMES),
                     "per_prime_s": _median(layer_runs, "joint", "per_prime_s"),
-                    "one_call_s": _median(layer_runs, "joint", "one_call_s") if one_call else None,
+                    "one_call_s": _median(layer_runs, "joint", "one_call_s"),
                     "rank": layer_runs[0]["joint"]["rank"],
                 }
             for p in PRIMES:

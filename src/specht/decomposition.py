@@ -115,19 +115,22 @@ def rim_hook_chain(lam: Partition, m: int) -> RimHookChain:
             if nu != lam and dominance_compare(nu, lam) is Dominance.GREATER:
                 found.add(nu)
     # Lex order refines dominance, so the set is a chain when each element
-    # dominates the next; otherwise name the first incomparable pair.
+    # dominates the next, and a neighbour that does not is incomparable to
+    # it; name the first incomparable pair.
     elems = sorted(found, reverse=True)
     neighbours = zip(elems, elems[1:])
     if all(dominance_compare(a, b) is Dominance.GREATER for a, b in neighbours):
         return RimHookChain(tuple(elems), m)
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if dominance_compare(elems[i], elems[j]) is Dominance.INCOMPARABLE:
-                raise NotTotallyOrdered(
-                    f"{format_partition(elems[i])} and {format_partition(elems[j])} "
-                    f"are incomparable in the set built from {format_partition(lam)}, m={m}"
-                )
-    return RimHookChain(tuple(elems), m)
+    a, b = next(
+        (a, b)
+        for i, a in enumerate(elems)
+        for b in elems[i + 1 :]
+        if dominance_compare(a, b) is Dominance.INCOMPARABLE
+    )
+    raise NotTotallyOrdered(
+        f"{format_partition(a)} and {format_partition(b)} "
+        f"are incomparable in the set built from {format_partition(lam)}, m={m}"
+    )
 
 
 class GrothendieckVector:

@@ -43,7 +43,13 @@ from functools import cache
 from math import factorial, isqrt, prod
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import DEFAULT_SIZE_CAP, Partition, format_partition, partition
+from .partitions import (
+    DEFAULT_SIZE_CAP,
+    Partition,
+    format_partition,
+    partition,
+    removable_rim_hooks,
+)
 from .primes import NotPrime, is_prime
 
 
@@ -57,8 +63,6 @@ _PAIRS = 1 << 18
 _PANEL = 128
 # The largest prime that _float_exact admits.
 _FLOAT_PRIME = 8388593
-# Most cells of a shape whose tableaux are built by plain recursion.
-_RECURSION_CELLS = 64
 
 StandardTableau = tuple[tuple[int, ...], ...]
 Tabloid = tuple[tuple[int, ...], ...]
@@ -86,59 +90,49 @@ def standard_tableaux(
     ends = [sum(lam[: i + 1]) for i in range(len(lam))]
     return tuple(
         tuple(tuple(word[s:e]) for s, e in zip([0] + ends, ends))
-        for word in _tableaux(lam).tolist()
+        for word in _standard_tableaux(lam).tolist()
     )
 
 
-def _tableaux(lam: Partition) -> np.ndarray:
-    """_standard_tableaux(lam), at a recursion depth that does not grow
-    with n.  Past _RECURSION_CELLS cells, every smaller shape inside lam is
-    looked up first, smallest first, so each one not yet cached finds its
-    own smaller shapes cached and recurses one level.  The walk sits here,
-    not in the cached function, where each shape it fills would walk its
-    own smaller shapes again; smaller shapes skip it and recurse."""
-    if sum(lam) > _RECURSION_CELLS:
-        layers = [[lam]]
-        while layers[-1][0]:  # down to the empty shape, one size at a time
-            smaller = (s for shape in layers[-1] for _, s in _corners(shape))
-            layers.append(list(dict.fromkeys(smaller)))
-        for layer in reversed(layers[1:]):
-            for shape in layer:
-                _standard_tableaux(shape)
-    return _standard_tableaux(lam)
+# The tableaux of every shape built so far, as _standard_tableaux returns them.
+_TABLEAUX: dict[Partition, np.ndarray] = {}
 
 
-def _corners(lam: Partition) -> Iterator[tuple[int, Partition]]:
-    """For each removable corner of the shape, the place of its cell in the
-    row-reading word, and the smaller shape without it."""
-    end = 0
-    for i, part in enumerate(lam):
-        end += part
-        if i + 1 == len(lam) or lam[i + 1] < part:
-            yield end - 1, partition(lam[:i] + (part - 1,) + lam[i + 1 :])
-
-
-@cache
 def _standard_tableaux(lam: Partition) -> np.ndarray:
     """The row-reading words of the standard tableaux of the shape, one row
     per tableau, in increasing order: a read-only (d, n) array of the
-    narrowest unsigned type that holds n.  One level of recursion per cell
-    whose smaller shape is not cached: call it through _tableaux."""
+    narrowest unsigned type that holds n, built once and kept in _TABLEAUX.
+
+    On a miss the shapes inside lam not yet built are queued breadth first
+    from lam, so their sizes never increase along the queue, and built from
+    its end: each finds its smaller shapes built, with no recursion, and a
+    built shape is never walked again."""
+    if lam in _TABLEAUX:
+        return _TABLEAUX[lam]
     import numpy as np
 
-    n = sum(lam)
-    dtype = np.min_scalar_type(n)
-    if n == 0:
-        return np.zeros((1, 0), dtype=dtype)
-    # n sits in a removable corner; the rest is a standard tableau of the
-    # smaller shape.
-    blocks = [
-        np.insert(_standard_tableaux(smaller).astype(dtype), at, n, axis=1)
-        for at, smaller in _corners(lam)
-    ]
-    words = np.concatenate(blocks)
-    words = words[np.lexsort(words.T[::-1])]  # the first letter sorts first
-    words.flags.writeable = False
+    queue, corners = [lam], {lam: removable_rim_hooks(lam, 1)}
+    for shape in queue:  # the queue grows as it is read
+        for _, smaller in corners[shape]:
+            if smaller not in _TABLEAUX and smaller not in corners:
+                queue.append(smaller)
+                corners[smaller] = removable_rim_hooks(smaller, 1)
+    for shape in reversed(queue):
+        n = sum(shape)
+        dtype = np.min_scalar_type(n)
+        if n == 0:
+            words = np.zeros((1, 0), dtype=dtype)
+        else:
+            # n sits in a removable corner, the last cell of its row i; the
+            # rest is a standard tableau of the smaller shape.
+            blocks = [
+                np.insert(_TABLEAUX[smaller].astype(dtype), sum(shape[:i]) - 1, n, axis=1)
+                for (i, _), smaller in corners[shape]
+            ]
+            words = np.concatenate(blocks)
+            words = words[np.lexsort(words.T[::-1])]  # the first letter sorts first
+        words.flags.writeable = False
+        _TABLEAUX[shape] = words
     return words
 
 
@@ -265,7 +259,7 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
     """
     import numpy as np
 
-    words = _tableaux(lam)
+    words = _standard_tableaux(lam)
     d, rows, ones = len(words), len(lam), lam.count(1)
     cells, targets, signs = _column_group(lam, ones)
     n = len(cells)

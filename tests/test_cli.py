@@ -133,7 +133,7 @@ def test_verify_text_passes():
 def test_verify_long_rows_from_a_cold_cache():
     """Building the tableaux of (501) and (500, 1) from an empty cache once
     passed the recursion limit and aborted the whole grid with exit 3."""
-    gram_mod._standard_tableaux.cache_clear()
+    gram_mod._TABLEAUX.clear()
     argv = ["--mu", "[]", "--mu", "[1]", "--p", "5", "--n-min", "499", "--n-max", "501"]
     code, out, _ = run_cli("verify", *argv, "--size-cap", "600")
     assert code == 0

@@ -1,7 +1,12 @@
 """Explicit Specht modules: tableaux, polytabloids, Gram matrices, ranks."""
 
 import math
+import os
+import pathlib
 import random
+import runpy
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -30,6 +35,7 @@ from specht import (
     specht_dimension,
     standard_tableaux,
 )
+from specht.partitions import removable_rim_hooks
 from specht.primes import is_prime
 
 
@@ -90,26 +96,75 @@ def test_standard_tableaux_respects_size_cap():
     assert len(standard_tableaux((17,), size_cap=17)) == 1
 
 
-def test_tableaux_built_smallest_first_match_the_recursion(monkeypatch):
-    """Past _RECURSION_CELLS, _tableaux builds every smaller shape first;
-    with the bound at 0 every shape takes that path, from an empty cache."""
+def test_tableaux_built_cold_match_the_warm_build():
+    """Each shape built from an empty memo, the larger shapes first, gives
+    the same array as when every shape is already built."""
     shapes = [lam for n in range(1, 9) for lam in partitions_of(n)]
     expected = {lam: gram_mod._standard_tableaux(lam) for lam in shapes}
-    monkeypatch.setattr(gram_mod, "_RECURSION_CELLS", 0)
     for lam in reversed(shapes):
-        gram_mod._standard_tableaux.cache_clear()
-        words = gram_mod._tableaux(lam)
+        gram_mod._TABLEAUX.clear()
+        words = gram_mod._standard_tableaux(lam)
         assert words.dtype == expected[lam].dtype and np.array_equal(words, expected[lam])
 
 
 def test_long_rows_rank_on_a_cold_cache():
     """A cold recursion of one level per cell passes Python's recursion
     limit near n = 500."""
-    gram_mod._standard_tableaux.cache_clear()
+    gram_mod._TABLEAUX.clear()
     assert gram_ranks_mod_p((600,), [5], size_cap=600) == {5: 1}
-    gram_mod._standard_tableaux.cache_clear()
+    gram_mod._TABLEAUX.clear()
     assert oracles.peel_hook_dimension(600, 1, 5) == 598
     assert gram_ranks_mod_p((599, 1), [5], size_cap=600) == {5: 598}
+
+
+def test_a_built_shape_is_never_walked_again(monkeypatch):
+    """A second call on (599, 1) finds it built and reads no corner; (600,)
+    next builds one shape, as (599,) is built, and walks no other."""
+    gram_mod._TABLEAUX.clear()
+    assert gram_ranks_mod_p((599, 1), [5], size_cap=600) == {5: 598}
+    built = set(gram_mod._TABLEAUX)
+    walked = []
+
+    def corners(shape, h):
+        walked.append(shape)
+        return removable_rim_hooks(shape, h)
+
+    monkeypatch.setattr(gram_mod, "removable_rim_hooks", corners)
+    assert gram_ranks_mod_p((599, 1), [5], size_cap=600) == {5: 598}
+    assert set(gram_mod._TABLEAUX) == built and walked == []
+    assert gram_ranks_mod_p((600,), [5], size_cap=600) == {5: 1}
+    assert set(gram_mod._TABLEAUX) == built | {(600,)} and set(walked) == {(600,)}
+
+
+def test_long_rows_build_under_a_low_recursion_limit():
+    """Tableaux are built without recursion: (600,) ranks from an empty
+    memo with Python's recursion limit at 100."""
+    src = pathlib.Path(gram_mod.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "from specht import gram_ranks_mod_p\n"
+        "sys.setrecursionlimit(100)\n"
+        "print(gram_ranks_mod_p((600,), [5], size_cap=600))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "{5: 1}\n"), proc.stderr
+
+
+def test_traced_tableaux_count_one_call_per_lookup():
+    """perfbench's Tracer counts the tableaux each wrapped call returns: a
+    cold (70,) then (10, 2) is 1 + 54, with no smaller shape counted."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    tracer = runpy.run_path(str(root / "perfbench" / "tracing.py"))["Tracer"]()
+    gram_mod._TABLEAUX.clear()
+    tracer.install()
+    try:
+        gram_mod.gram_ranks_mod_p((70,), [5], size_cap=70)
+        gram_mod.gram_ranks_mod_p((10, 2), [5])
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["gram.tableaux_count"] == 55
 
 
 # ---------------------------------------------------------------------------

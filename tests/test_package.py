@@ -1,5 +1,7 @@
-"""The package's lazy public names, and the CLI's lazily bound functions."""
+"""The package's lazy public names, the CLI's lazily bound functions, and
+the README's library quick start."""
 
+import doctest
 import importlib
 import pathlib
 import runpy
@@ -64,3 +66,13 @@ def test_a_patched_cli_attribute_is_what_main_calls(monkeypatch):
         monkeypatch.setattr(specht.cli, attr, recorder)
         assert specht.cli.main(argv) == 0, argv
         assert len(calls) == 1, attr
+
+
+def test_readme_quick_start_runs_as_a_doctest():
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "quick start", "README.md", 0)
+    report = []
+    runner = doctest.DocTestRunner()
+    result = runner.run(test, out=report.append)
+    assert result.failed == 0 and result.attempted == len(test.examples) > 0, "".join(report)
