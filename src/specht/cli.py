@@ -5,9 +5,9 @@ code; main writes the one --json picks, plus a newline, in one stdout write.
 
 Exit codes: 0 success; 1 verification found an in-regime mismatch inside
 the window of verify._in_window; 2 invalid input, or a --dump file that
-cannot be written; 3 an internal limit was hit (size cap, search ceiling)
-or an internal self-check failed. Identical invocations produce
-byte-identical output.
+cannot be written; 3 an internal limit was hit (size cap, search ceiling,
+a matrix too large to allocate) or an internal self-check failed.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -247,8 +247,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # such as `head -1` can close it, so no later write meets EPIPE.
         sys.stdout.write(text + "\n")
         return code[0] if code else 0
-    except RuntimeError as exc:
-        # TooLarge, SearchExhausted, and the Pollard rho self-check.
+    except (RuntimeError, MemoryError) as exc:
+        # TooLarge, SearchExhausted, the Pollard rho self-check, and a
+        # matrix too large to allocate.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -144,9 +144,10 @@ def hook_lengths(lam: Partition) -> dict[Cell, int]:
 
 
 def _moved(beads: set[int], old: int, new: int) -> Partition:
-    """The partition of ``beads`` with ``old`` moved to the free value ``new``."""
+    """The partition of ``beads`` with ``old`` moved to the free value ``new``:
+    distinct beads sorted downward give weakly decreasing parts >= 0."""
     moved = sorted((beads - {old}) | {new}, reverse=True)
-    return partition(v - (len(moved) - 1 - t) for t, v in enumerate(moved))
+    return tuple(part for t, v in enumerate(moved) if (part := v - (len(moved) - 1 - t)))
 
 
 def removable_rim_hooks(lam: Partition, h: int) -> list[tuple[Cell, Partition]]:

@@ -151,7 +151,7 @@ def _cell_records(
     else:
         try:
             ranks = gram_ranks_mod_p(lam, ps, size_cap)
-        except TooLarge as exc:
+        except (TooLarge, MemoryError) as exc:
             oracle_error = exc
     records = []
     for p in ps:

@@ -272,6 +272,15 @@ def test_failed_self_check_is_exit_3(monkeypatch):
     assert result == (3, "", "error: self-check failed\n")
 
 
+def test_failed_allocation_is_exit_3(monkeypatch):
+    def refuse(lam):
+        raise MemoryError("Unable to allocate 161. GiB for an array")
+
+    monkeypatch.setattr(gram_mod, "_gram_matrix_cached", refuse)
+    result = run_cli("gram-rank", "[4,2]", "5")
+    assert result == (3, "", "error: Unable to allocate 161. GiB for an array\n")
+
+
 def test_search_limit_is_exit_3():
     code, _, err = run_cli("prime-seq", "--p-min", "3", "--search-limit", "5", "--", "-3,1", "3")
     assert code == 3

@@ -108,8 +108,8 @@ def test_tableaux_built_cold_match_the_warm_build():
 
 
 def test_long_rows_rank_on_a_cold_cache():
-    """A cold recursion of one level per cell passes Python's recursion
-    limit near n = 500."""
+    """A cold memo builds (600,) and (599, 1) from every smaller shape, 600
+    levels deep: past Python's recursion limit, were each level a call."""
     gram_mod._TABLEAUX.clear()
     assert gram_ranks_mod_p((600,), [5], size_cap=600) == {5: 1}
     gram_mod._TABLEAUX.clear()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import specht.gram as gram_mod
 import specht.verify as verify_mod
 from specht import NotPrime, gram_rank_mod_p, pad_partition, run_verification
 
@@ -109,6 +110,22 @@ def test_size_capped_cell_records_the_error_at_every_prime(monkeypatch):
         assert rec.formula_dim is not None
         assert rec.oracle_dim is None and rec.match is None
     assert report.summary["errors"] == 2
+
+
+def test_a_failed_allocation_is_one_cells_oracle_error(monkeypatch):
+    build = gram_mod._gram_matrix_cached
+
+    def refuse_seven_cells(lam):
+        if sum(lam) == 7:
+            raise MemoryError("Unable to allocate")
+        return build(lam)
+
+    monkeypatch.setattr(gram_mod, "_gram_matrix_cached", refuse_seven_cells)
+    report = run_verification([(1,)], [5], [6, 7])
+    failed, done = _record(report, (1,), 5, 7), _record(report, (1,), 5, 6)
+    assert failed.error == "oracle: Unable to allocate" and failed.oracle_dim is None
+    assert done.error is None and done.match is True
+    assert report.summary["errors"] == 1
 
 
 def test_every_prime_is_checked_before_the_grid(monkeypatch):
