@@ -35,7 +35,9 @@ from pathlib import Path
 # - the grid's primes on its largest shape, two larger ones, and the
 #   equal-row shapes (3^4) and (4^3);
 # - (14,2,1,1), d = 7 020, at |mu| = 4, and the tall (3,3,1^6);
-# - the long row (599,1), whose tableaux memo holds every (k) and (k-1,1).
+# - the long row (599,1), whose tableaux memo holds every (k) and (k-1,1);
+# - oracle_grid shapes of d <= 110 at its primes, where fixed costs weigh
+#   most against the matrix work.
 CALLS = (
     *(
         (lam, (p,), 16)
@@ -49,6 +51,10 @@ CALLS = (
     ((14, 2, 1, 1), (5, 7, 11, 13), 18),
     ((3, 3, 1, 1, 1, 1, 1, 1), (7, 11, 13), 16),
     ((599, 1), (5,), 600),
+    *(
+        (lam, (5, 7, 11), 16)
+        for lam in ((7, 1), (10, 1), (4, 2, 1), (6, 3), (8, 3), (9, 2))
+    ),
 )
 
 

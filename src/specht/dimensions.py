@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Union
 
 from .partitions import Partition, conjugate, hook_lengths, partition
@@ -56,19 +56,32 @@ class RationalPolynomial:
     and degree -1.
     """
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("coefficients", "_integral")
 
     def __init__(self, coefficients: Iterable[Union[Fraction, int]] = ()):
         coeffs = [Fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coefficients: tuple[Fraction, ...] = tuple(coeffs)
+        # (D * coefficients as ints, D) for their common denominator D,
+        # made by the first call at an int.
+        self._integral: tuple[tuple[int, ...], int] | None = None
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     def __call__(self, n: Union[int, Fraction]) -> Fraction:
+        if isinstance(n, int):  # integer Horner over the common denominator
+            if self._integral is None:
+                den = lcm(*(c.denominator for c in self.coefficients))
+                nums = tuple(c.numerator * (den // c.denominator) for c in self.coefficients)
+                self._integral = nums, den
+            nums, den = self._integral
+            total = 0
+            for c in reversed(nums):
+                total = total * n + c
+            return Fraction(total, den)
         acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * n + c

@@ -16,7 +16,10 @@ increases, the kept elements are the same for every tableau.  Each
 tabloid adds the k x k block of sign products of the k entries reaching
 it, exact in int32 because every entry and partial sum, the m! multiple
 included, is at most the column group order |C_t| <= 10**7, taken in
-batches of whole tabloid classes so that memory stays bounded.
+batches of whole tabloid classes so that memory stays bounded.  A batch
+small enough (d * d * T <= _DENSE for the T tabloids it reaches) adds all
+its blocks as one float64 product of its d x T part of E, exact as those
+integers stay below 2**53.
 Each call builds a new matrix and owns it: nothing is cached, and the rank
 path reduces it mod N in place, N a prime or a product of primes ranked
 together, so the matrix is the only d x d array a rank call holds (4d^2
@@ -59,6 +62,11 @@ _MAX_COLUMN_GROUP = 10_000_000
 _MAX_ENTRIES = 1 << 20
 # Most entry pairs per scatter call in Gram assembly, or one tabloid's row if longer.
 _PAIRS = 1 << 18
+# Most d * d * T, for d tableaux reaching T tabloids, at which Gram assembly
+# adds a batch as one dense product instead of scattering its pairs.  Larger
+# BLAS products measured slower in total: the elimination after them ran up
+# to a fifth slower (AVX-512 Xeon, one BLAS thread).
+_DENSE = 1 << 18
 # Columns per elimination panel.
 _PANEL = 128
 # The largest prime that _float_exact admits.
@@ -195,10 +203,14 @@ def _column_group(
     # filled through a broadcast view (before, perms, after, cells), so
     # targets is the only large array.
     # A partition's column holds rows 0..|col| - 1, so its perms are the rows.
-    targets = np.empty((order, len(cells)), dtype=np.uint8)
+    # Columns of length 1, the last ones, have only the identity: their
+    # cells keep row 0 from the zero fill.
+    targets = np.zeros((order, len(cells)), dtype=np.uint8)
     signs = np.ones(order, dtype=np.int8)
     before, start = 1, 0
     for c, col in enumerate(columns):
+        if len(col) == 1:
+            break
         perms, perm_signs = _signed_perms(len(col), 0 if c else ones)
         after = order // (before * len(perms))
         block = targets.reshape(before, len(perms), after, len(cells))
@@ -254,8 +266,9 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
     classes never pair, so a batch is a run of whole classes.  Tableaux that
     put 1..m in the same cells form a group, and on them the class of
     (g, i) depends on g alone.  m is the least number of entries for which
-    no class holds more than _MAX_ENTRIES entries: m = 0 is one class, and
-    at m = n a class is one tabloid, reached at most d times.
+    no class holds more than _MAX_ENTRIES entries: m = 0 is one class, all
+    the entries in one batch with nothing to plan, and at m = n a class is
+    one tabloid, reached at most d times.
     """
     import numpy as np
 
@@ -270,7 +283,13 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
     # cell_of[i, v]: the index in cells of the cell holding entry v + 1 of
     # tableau i; cell (r, c) is letter sum(lam[:r]) + c of the word.
     cell_of = np.argsort(words[:, [sum(lam[:r]) + c for r, c in cells]], axis=1)
-    for m in range(n + 1):
+    if len(targets) * d <= _MAX_ENTRIES:  # one batch, so no classes to plan
+        # labels[g, i, v]: the row entry v + 1 of tableau i lands in under g
+        labels = targets[:, cell_of].reshape(-1, n)
+        _add_pairs(gram, labels, np.tile(np.arange(d), len(targets)), np.repeat(signs, d))
+        gram *= factorial(ones)
+        return gram
+    for m in range(1, n + 1):  # m = 0 is one class, too large to be a batch
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, prefix in enumerate(cell_of[:, :m].tolist()):
             groups.setdefault(tuple(prefix), []).append(i)
@@ -287,7 +306,8 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
     parts = []  # per group: its tableaux, its group elements by class, class starts
     for (prefix, members), count in zip(groups.items(), counts):
         by_class = np.argsort(targets[:, list(prefix)] @ powers, kind="stable")
-        parts.append((members, by_class.astype(np.int32), np.r_[0, np.cumsum(count)]))
+        starts = np.concatenate(([0], np.cumsum(count)))
+        parts.append((members, by_class.astype(np.int32), starts))
     bounds, batch = [0], 0
     for c, size in enumerate(sizes.tolist()):
         if batch and batch + size > _MAX_ENTRIES:
@@ -314,19 +334,29 @@ def _add_pairs(
     """Add s_e s_f to gram[i_e, i_f] for every pair of entries e, f with equal
     rows of labels; entry e has tableau i_e = tableau[e], sign s_e = sign[e].
 
-    The tabloids reached by k entries are the rows of a (tabloids, k) block;
-    each adds the k x k outer product of its row.  A scatter call takes at
-    most max(_PAIRS, k) pairs; k <= d, as no tableau reaches a tabloid twice."""
+    A small batch, d * d * T <= _DENSE for the T tabloids it reaches, adds
+    one product E E^T of its d x T incidence block in float64, exact as
+    every entry and partial sum is an integer of size at most
+    |C_t| <= _MAX_COLUMN_GROUP < 2**53.  Otherwise the tabloids reached by k
+    entries are the rows of a (tabloids, k) block, and each scatters the
+    k x k outer product of its row.  A scatter call takes at most
+    max(_PAIRS, k) pairs; k <= d, as no tableau reaches a tabloid twice."""
     import numpy as np
 
     # Entries sorted so that equal tabloids are adjacent (lexsort on uint8
     # keys is a radix sort), then compared as raw bytes.
     order = np.lexsort(labels.T)
     keys = labels[order].view(np.dtype((np.void, labels.shape[1]))).ravel()
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))  # of its tabloid
     del keys  # large batches: free before the scatter
-    sizes = np.diff(np.r_[starts, len(order)])
-    flat, d = gram.reshape(-1), len(gram)
+    starts, d = np.flatnonzero(first), len(gram)
+    if d * d * len(starts) <= _DENSE:
+        incidence = np.zeros((d, len(starts)))
+        incidence[tableau[order], np.cumsum(first) - 1] = sign[order]
+        gram += (incidence @ incidence.T).astype(np.int32)
+        return
+    sizes = np.diff(starts, append=len(order))
+    flat = gram.reshape(-1)
     for k in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique loads numpy.ma
         e = order[starts[sizes == k, None] + np.arange(k)]
         i, s = tableau[e], sign[e].astype(np.int32)
@@ -516,7 +546,9 @@ def _blocked_rank(
             j += 1
         r = len(pivots)
         rank += r
-        rest = np.delete(np.arange(m), pivots)
+        kept = np.ones(m, dtype=bool)
+        kept[pivots] = False
+        rest = np.flatnonzero(kept)
         # Compact the surviving rows upward in place, one block at a time:
         # rest[j] >= j, so no block reads a row an earlier block wrote.
         for lo in range(0, len(rest) if b < w else 0, _PANEL):

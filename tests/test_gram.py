@@ -205,11 +205,15 @@ def test_gram_matrices_are_symmetric_with_positive_diagonal(n):
     + [(5, 3), (4, 2, 2)],
     ids=format_partition,
 )
-def test_gram_matrix_is_the_polytabloid_pairing(lam):
+def test_gram_matrix_is_the_polytabloid_pairing(monkeypatch, lam):
+    """Either pairing route, every batch scattered (_DENSE = 0) or every
+    batch one dense product, gives the pairing of the polytabloids."""
     polys = [oracles.polytabloid(t) for t in standard_tableaux(lam)]
-    g = gram_matrix(lam)
-    assert g == _pairing_matrix(polys)
-    assert all(type(x) is int for row in g for x in row)
+    for dense in (0, 1 << 62):
+        monkeypatch.setattr(gram_mod, "_DENSE", dense)
+        g = gram_matrix(lam)
+        assert g == _pairing_matrix(polys)
+        assert all(type(x) is int for row in g for x in row)
     assert [polytabloid(t) for t in standard_tableaux(lam)] == polys
 
 
@@ -244,7 +248,8 @@ def test_gram_matrix_assembled_in_batches(monkeypatch, lam, fraction, pairs):
     split tabloids with calls of whole ones.  No call may take more than
     max(_PAIRS, k) pairs, and every pair is scattered once.  Only the
     polytabloid terms with increasing entries in the rows of length 1 are
-    paired (the m! copies of the rest add the same terms)."""
+    paired (the m! copies of the rest add the same terms).  _DENSE = 0
+    keeps every batch on the scatter, whose calls are counted."""
     expected = gram_matrix(lam)
     reach = Counter(
         tabloid
@@ -264,12 +269,22 @@ def test_gram_matrix_assembled_in_batches(monkeypatch, lam, fraction, pairs):
             add.at(a, indices, values)
 
     monkeypatch.setattr(np, "add", RecordingAdd())
+    monkeypatch.setattr(gram_mod, "_DENSE", 0)
     monkeypatch.setattr(gram_mod, "_MAX_ENTRIES", max(entries // fraction, 1))
     if pairs:
         monkeypatch.setattr(gram_mod, "_PAIRS", pairs)
     assert gram_matrix(lam) == expected
     assert max(sizes) <= max(gram_mod._PAIRS, max(reach.values()))
     assert sum(sizes) == sum(k * k for k in reach.values())
+
+
+@pytest.mark.parametrize("lam", [(3, 2, 1), (3, 3, 1, 1), (4, 2, 2)], ids=format_partition)
+def test_batches_added_as_dense_products(monkeypatch, lam):
+    """Each of many batches taken as one dense product sums to the same matrix."""
+    expected = gram_matrix(lam)
+    monkeypatch.setattr(gram_mod, "_DENSE", 1 << 62)
+    monkeypatch.setattr(gram_mod, "_MAX_ENTRIES", 50)
+    assert gram_matrix(lam) == expected
 
 
 def _ones_increase(tabloid):
