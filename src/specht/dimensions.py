@@ -64,7 +64,7 @@ class RationalPolynomial:
             coeffs.pop()
         self.coefficients: tuple[Fraction, ...] = tuple(coeffs)
         # (D * coefficients as ints, D) for their common denominator D,
-        # made by the first call at an int.
+        # made by the first call.
         self._integral: tuple[tuple[int, ...], int] | None = None
 
     @property
@@ -72,20 +72,18 @@ class RationalPolynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, n: Union[int, Fraction]) -> Fraction:
-        if isinstance(n, int):  # integer Horner over the common denominator
-            if self._integral is None:
-                den = lcm(*(c.denominator for c in self.coefficients))
-                nums = tuple(c.numerator * (den // c.denominator) for c in self.coefficients)
-                self._integral = nums, den
-            nums, den = self._integral
-            total = 0
-            for c in reversed(nums):
-                total = total * n + c
-            return Fraction(total, den)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * n + c
-        return acc
+        """The value at n = a/b: integer Horner on a over D * b**degree."""
+        if self._integral is None:
+            den = lcm(*(c.denominator for c in self.coefficients))
+            nums = tuple(c.numerator * (den // c.denominator) for c in self.coefficients)
+            self._integral = nums, den
+        nums, den = self._integral
+        a, b = n.numerator, n.denominator
+        total, scale = 0, 1
+        for c in reversed(nums):
+            total = total * a + c * scale
+            scale *= b
+        return Fraction(total, den * b ** max(self.degree, 0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPolynomial):

@@ -283,38 +283,35 @@ def _gram_matrix_cached(lam: Partition) -> np.ndarray:
     # cell_of[i, v]: the index in cells of the cell holding entry v + 1 of
     # tableau i; cell (r, c) is letter sum(lam[:r]) + c of the word.
     cell_of = np.argsort(words[:, [sum(lam[:r]) + c for r, c in cells]], axis=1)
-    if len(targets) * d <= _MAX_ENTRIES:  # one batch, so no classes to plan
-        # labels[g, i, v]: the row entry v + 1 of tableau i lands in under g
-        labels = targets[:, cell_of].reshape(-1, n)
-        _add_pairs(gram, labels, np.tile(np.arange(d), len(targets)), np.repeat(signs, d))
-        gram *= factorial(ones)
-        return gram
-    for m in range(1, n + 1):  # m = 0 is one class, too large to be a batch
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, prefix in enumerate(cell_of[:, :m].tolist()):
-            groups.setdefault(tuple(prefix), []).append(i)
-        # targets[:, list(prefix)] @ powers: the class of each group element
-        # on the tableaux of a group, as a base-rows number
-        powers = rows ** np.arange(m)
-        counts = [
-            np.bincount(targets[:, list(prefix)] @ powers, minlength=rows**m)
-            for prefix in groups
-        ]
-        sizes = sum(c * len(members) for c, members in zip(counts, groups.values()))
-        if sizes.max() <= _MAX_ENTRIES:
-            break
-    parts = []  # per group: its tableaux, its group elements by class, class starts
-    for (prefix, members), count in zip(groups.items(), counts):
-        by_class = np.argsort(targets[:, list(prefix)] @ powers, kind="stable")
-        starts = np.concatenate(([0], np.cumsum(count)))
-        parts.append((members, by_class.astype(np.int32), starts))
-    bounds, batch = [0], 0
-    for c, size in enumerate(sizes.tolist()):
-        if batch and batch + size > _MAX_ENTRIES:
-            bounds.append(c)
-            batch = 0
-        batch += size
-    bounds.append(len(sizes))
+    if len(targets) * d <= _MAX_ENTRIES:  # m = 0: one class, one batch, nothing to plan
+        parts, bounds = [(np.arange(d), np.arange(len(targets)), [0, len(targets)])], [0, 1]
+    else:
+        for m in range(1, n + 1):  # m = 0 is one class, too large to be a batch
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for i, prefix in enumerate(cell_of[:, :m].tolist()):
+                groups.setdefault(tuple(prefix), []).append(i)
+            # targets[:, list(prefix)] @ powers: the class of each group element
+            # on the tableaux of a group, as a base-rows number
+            powers = rows ** np.arange(m)
+            counts = [
+                np.bincount(targets[:, list(prefix)] @ powers, minlength=rows**m)
+                for prefix in groups
+            ]
+            sizes = sum(c * len(members) for c, members in zip(counts, groups.values()))
+            if sizes.max() <= _MAX_ENTRIES:
+                break
+        parts = []  # per group: its tableaux, its group elements by class, class starts
+        for (prefix, members), count in zip(groups.items(), counts):
+            by_class = np.argsort(targets[:, list(prefix)] @ powers, kind="stable")
+            starts = np.concatenate(([0], np.cumsum(count)))
+            parts.append((members, by_class.astype(np.int32), starts))
+        bounds, batch = [0], 0
+        for c, size in enumerate(sizes.tolist()):
+            if batch and batch + size > _MAX_ENTRIES:
+                bounds.append(c)
+                batch = 0
+            batch += size
+        bounds.append(len(sizes))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         labels, tableau, sign = [], [], []
         for members, order, starts in parts:

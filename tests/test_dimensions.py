@@ -93,6 +93,9 @@ def test_polynomial_evaluation_and_arithmetic():
     q = RationalPolynomial([1])
     assert p(7) == 14
     assert p(0) == 0
+    assert p(Fraction(1, 2)) == Fraction(-5, 8)
+    assert p(Fraction(-7, 3)) == Fraction(56, 9)
+    assert RationalPolynomial([])(Fraction(2, 3)) == 0
     assert (p + q)(5) == p(5) + 1
     assert (p - p)(9) == 0
     assert (-p)(4) == -p(4)

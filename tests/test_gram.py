@@ -207,10 +207,12 @@ def test_gram_matrices_are_symmetric_with_positive_diagonal(n):
 )
 def test_gram_matrix_is_the_polytabloid_pairing(monkeypatch, lam):
     """Either pairing route, every batch scattered (_DENSE = 0) or every
-    batch one dense product, gives the pairing of the polytabloids."""
+    batch one dense product, in one batch or, with _MAX_ENTRIES = 50, in
+    many, gives the pairing of the polytabloids."""
     polys = [oracles.polytabloid(t) for t in standard_tableaux(lam)]
-    for dense in (0, 1 << 62):
+    for dense, entries in [(0, 1 << 20), (1 << 62, 1 << 20), (1 << 62, 50)]:
         monkeypatch.setattr(gram_mod, "_DENSE", dense)
+        monkeypatch.setattr(gram_mod, "_MAX_ENTRIES", entries)
         g = gram_matrix(lam)
         assert g == _pairing_matrix(polys)
         assert all(type(x) is int for row in g for x in row)
@@ -276,15 +278,6 @@ def test_gram_matrix_assembled_in_batches(monkeypatch, lam, fraction, pairs):
     assert gram_matrix(lam) == expected
     assert max(sizes) <= max(gram_mod._PAIRS, max(reach.values()))
     assert sum(sizes) == sum(k * k for k in reach.values())
-
-
-@pytest.mark.parametrize("lam", [(3, 2, 1), (3, 3, 1, 1), (4, 2, 2)], ids=format_partition)
-def test_batches_added_as_dense_products(monkeypatch, lam):
-    """Each of many batches taken as one dense product sums to the same matrix."""
-    expected = gram_matrix(lam)
-    monkeypatch.setattr(gram_mod, "_DENSE", 1 << 62)
-    monkeypatch.setattr(gram_mod, "_MAX_ENTRIES", 50)
-    assert gram_matrix(lam) == expected
 
 
 def _ones_increase(tabloid):
