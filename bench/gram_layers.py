@@ -37,7 +37,9 @@ from pathlib import Path
 # - (14,2,1,1), d = 7 020, at |mu| = 4, and the tall (3,3,1^6);
 # - the long row (599,1), whose tableaux memo holds every (k) and (k-1,1);
 # - oracle_grid shapes of d <= 110 at its primes, where fixed costs weigh
-#   most against the matrix work.
+#   most against the matrix work;
+# - the rational sweep's kernel: shapes of d = 14, 35 and 90 at 8388593,
+#   the prime gram_rank_rational ranks at first.
 CALLS = (
     *(
         (lam, (p,), 16)
@@ -55,6 +57,7 @@ CALLS = (
         (lam, (5, 7, 11), 16)
         for lam in ((7, 1), (10, 1), (4, 2, 1), (6, 3), (8, 3), (9, 2))
     ),
+    *((lam, (8388593,), 16) for lam in ((4, 3), (3, 2, 1, 1), (4, 2, 1, 1))),
 )
 
 

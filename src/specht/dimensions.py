@@ -14,10 +14,12 @@ All arithmetic is exact (integers and fractions, no floating point).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import lcm, prod
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 from .partitions import Partition, conjugate, hook_lengths, partition
 
@@ -59,6 +61,11 @@ class RationalPolynomial:
     __slots__ = ("coefficients", "_integral")
 
     def __init__(self, coefficients: Iterable[Union[Fraction, int]] = ()):
+        # The first polynomial binds Fraction for the methods: fractions loads
+        # decimal and numbers, which integer-only specht_dimension skips.
+        global Fraction
+        from fractions import Fraction
+
         coeffs = [Fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -165,6 +172,8 @@ def _first_row_form(mu: Partition) -> tuple[list[int], int]:
 
 @cache
 def _dimension_polynomial(mu: Partition) -> RationalPolynomial:
+    from fractions import Fraction
+
     shifts, hooks = _first_row_form(mu)
     poly = RationalPolynomial((Fraction(1, hooks),))
     for i in shifts:

@@ -27,7 +27,11 @@ bytes; a group of primes ranked before the last one, which happens only
 past the float bound, takes an int32 residue copy).  The elimination
 kernel is blocked (panels of columns, one Schur update each) on those
 int32 residues in [0, N); only its panel factors L and U and one Schur
-block at a time are float64, or int64 past the float bound.  It pivots on
+block at a time are float64, or int64 past the float bound.  A matrix of
+at most _NARROW rows and columns over a float-exact N is reduced instead
+right-looking on one int64 copy (8 _NARROW m bytes at most): one rank-1
+update per pivot, with only the pivot column and row reduced mod N, exact
+as each entry stays within _NARROW (N-1)**2 + N - 1 < 2**53.  It pivots on
 units mod N only; a column with nonzero residues but no unit is deferred,
 and the deferred columns' leftover block is ranked once more for the
 primes at which it is not zero, together, or one by one when none drops
@@ -69,6 +73,10 @@ _PAIRS = 1 << 18
 _DENSE = 1 << 18
 # Columns per elimination panel.
 _PANEL = 128
+# Most rows and columns of a float-exact matrix that _blocked_rank hands to
+# _narrow_rank.  Past it the rank-1 updates lose to the panels: even at
+# d = 53-56, 7-20 % slower at d = 64-78 (AVX-512 Xeon, one BLAS thread).
+_NARROW = 48
 # The largest prime that _float_exact admits.
 _FLOAT_PRIME = 8388593
 
@@ -508,6 +516,11 @@ def _blocked_rank(
     is a residue minus at most `panel` products of two, so it and every
     partial sum lie within panel * (n-1)**2 + n - 1, which modular_ranks
     keeps below 2**53 for float64 and below 2**63 for int64.
+
+    A float64 call with max(m, w) <= _NARROW goes to _narrow_rank once the
+    unit table is built: one rank-1 update per pivot on an int64 copy (at
+    most 8 * _NARROW * m bytes, less than the blocked kernel's L and U), each
+    entry within _NARROW * (n-1)**2 + n - 1 < 2**53.
     """
     import numpy as np
 
@@ -517,6 +530,8 @@ def _blocked_rank(
         units = np.ones(n, dtype=bool)  # indexed by residue
         for q in primes:
             units[::q] = False
+    if max(a.shape) <= _NARROW and dtype is np.float64:
+        return _narrow_rank(a, n, units)
     rank, deferred = 0, 0  # deferred: the columns at the right end
     while True:  # until the panel reaches the deferred columns, or no row is left
         m, w = a.shape
@@ -555,6 +570,36 @@ def _blocked_rank(
         a = a[: len(rest), b:]
         if len(rest) == 0 or a.shape[1] == deferred:
             return rank, a
+
+
+def _narrow_rank(a: np.ndarray, n: int, units: np.ndarray | None) -> tuple[int, np.ndarray]:
+    """_blocked_rank of at most _NARROW rows and columns over a float-exact
+    n, right-looking on an int64 copy f of the residues: each pivot, the
+    first unit of f[:, j] mod n, subtracts its reduced column times its
+    reduced row scaled by the pivot's inverse from f[:, j+1:], and nothing
+    else is reduced.  A pivot row becomes 0 mod n.  Pivots, deferrals and
+    the leftover (reduced mod n, int64) are the blocked kernel's."""
+    import numpy as np
+
+    f = a.astype(np.int64)
+    pivots: list[int] = []
+    j, end = 0, f.shape[1]  # end: the first deferred column
+    while j < end:
+        col = f[:, j] % n
+        unit = col != 0 if units is None else units[col]
+        i = int(unit.argmax())
+        if unit[i]:
+            row = f[i, j + 1 :] % n * pow(int(col[i]), -1, n) % n
+            f[:, j + 1 :] -= col[:, None] * row
+            pivots.append(i)
+        elif col.any():  # defer: swap in the last column not yet deferred
+            end -= 1
+            f[:, [j, end]] = f[:, [end, j]]
+            continue
+        j += 1
+    kept = np.ones(len(f), dtype=bool)
+    kept[pivots] = False
+    return len(pivots), f[kept, end:] % n
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:

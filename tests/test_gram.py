@@ -386,6 +386,11 @@ def _matrix_of_rank(rng, m, n, r, p, zero_columns=0):
 
 # 8388617 and 10**9 + 7 run in int64, with panels of 128 and 9 columns.
 KERNEL_PRIMES = [2, 3, 5, 7, 11, 13, 65521, 8388617, 10**9 + 7, 2**31 - 1]
+# _NARROW settings for kernel tests on small matrices: the blocked kernel
+# alone, then the default, which sends float-exact matrices of at most
+# _NARROW rows and columns to _narrow_rank.  A loop inside each test, so
+# that both run under the test's own id.
+NARROW = (0, gram_mod._NARROW)
 
 
 def _sizes(b):
@@ -398,13 +403,15 @@ def test_modular_rank_matches_textbook_elimination(monkeypatch, p):
     """Sizes on both sides of a narrow panel width, so the oracle stays cheap."""
     b = 8
     monkeypatch.setattr(gram_mod, "_PANEL", b)
-    rng = np.random.default_rng(p)
-    for m, n in _sizes(b):
-        full = min(m, n)
-        for r in sorted({0, 1, full // 2, full - 1, full}):
-            for zero_columns in (0, 3):
-                a = _matrix_of_rank(rng, m, n, r, p, zero_columns)
-                assert modular_rank(a, p) == r == oracles.rank_mod_p(a.tolist(), p)
+    for narrow in NARROW:
+        monkeypatch.setattr(gram_mod, "_NARROW", narrow)
+        rng = np.random.default_rng(p)
+        for m, n in _sizes(b):
+            full = min(m, n)
+            for r in sorted({0, 1, full // 2, full - 1, full}):
+                for zero_columns in (0, 3):
+                    a = _matrix_of_rank(rng, m, n, r, p, zero_columns)
+                    assert modular_rank(a, p) == r == oracles.rank_mod_p(a.tolist(), p)
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -488,7 +495,9 @@ def test_widest_panel_is_exact_on_the_largest_schur_values(monkeypatch, p, b):
     a = np.full((w + 3, w + 3), p - 1, dtype=np.int64)
     a[:w, :w] = np.eye(w, dtype=np.int64)
     a[w:, w:] = w
-    assert modular_rank(a, p) == w
+    for narrow in NARROW:
+        monkeypatch.setattr(gram_mod, "_NARROW", narrow)
+        assert modular_rank(a, p) == w
 
 
 @pytest.mark.parametrize("b", [8, 128])
@@ -496,13 +505,15 @@ def test_blocked_rank_is_exact_at_the_largest_primes(monkeypatch, b):
     """Dense residues up to p - 1 on both sides of the float path's bound,
     against the int64 reference, on sizes that cross panel boundaries."""
     monkeypatch.setattr(gram_mod, "_PANEL", b)
-    rng = np.random.default_rng(b)
     sizes = [(2 * b + 44, 2 * b + 44), (b + 1, 2 * b + 1), (2 * b + 1, b + 1)]
-    for p in _float_path_primes(b):
-        for m, n in sizes:
-            low_rank = _matrix_of_rank(rng, m, n, min(m, n) // 2, p)
-            for a in (rng.integers(0, p, (m, n)), np.full((m, n), p - 1), low_rank):
-                assert modular_rank(a, p) == oracles.column_rank(a.copy(), p)
+    for narrow in NARROW:
+        monkeypatch.setattr(gram_mod, "_NARROW", narrow)
+        rng = np.random.default_rng(b)
+        for p in _float_path_primes(b):
+            for m, n in sizes:
+                low_rank = _matrix_of_rank(rng, m, n, min(m, n) // 2, p)
+                for a in (rng.integers(0, p, (m, n)), np.full((m, n), p - 1), low_rank):
+                    assert modular_rank(a, p) == oracles.column_rank(a.copy(), p)
 
 
 @pytest.mark.parametrize(
@@ -663,11 +674,13 @@ def test_modular_ranks_match_the_reference_on_gram_matrices(primes):
 @pytest.mark.parametrize("b", [4, 128])
 def test_modular_ranks_on_planted_per_prime_ranks(monkeypatch, primes, b):
     monkeypatch.setattr(gram_mod, "_PANEL", b)
-    rng = np.random.default_rng(sum(primes) + b)
-    for m, n in [(9, 9), (8, 13), (13, 8), (21, 21)]:
-        for _ in range(4):
-            ranks = {p: int(rng.integers(0, min(m, n) + 1)) for p in primes}
-            assert modular_ranks(_planted(rng, m, n, ranks), primes) == ranks
+    for narrow in NARROW:
+        monkeypatch.setattr(gram_mod, "_NARROW", narrow)
+        rng = np.random.default_rng(sum(primes) + b)
+        for m, n in [(9, 9), (8, 13), (13, 8), (21, 21)]:
+            for _ in range(4):
+                ranks = {p: int(rng.integers(0, min(m, n) + 1)) for p in primes}
+                assert modular_ranks(_planted(rng, m, n, ranks), primes) == ranks
 
 
 @pytest.mark.parametrize(
@@ -708,16 +721,18 @@ def test_columns_without_units_are_ranked_at_each_prime(monkeypatch, b):
     so none is a unit mod 385: the joint pass defers those columns."""
     monkeypatch.setattr(gram_mod, "_PANEL", b)
     moduli = _record_moduli(monkeypatch)
-    rng = np.random.default_rng(b)
     primes = (5, 7, 11)
-    for m, n in [(12, 12), (20, 9), (9, 20), (30, 30)]:
-        for k in (n // 2, n):
-            a = rng.integers(-50, 50, (m, n))
-            a[:, :k] = rng.choice([0, 5, 7, 11], (m, k)) * rng.integers(1, 50, (m, k))
-            moduli.clear()
-            assert modular_ranks(a, primes) == _reference_ranks(a, primes)
-            # With no unit anywhere, each prime ranks the whole matrix.
-            assert moduli[0] == 385 and (k < n or moduli == [385, 5, 7, 11])
+    for narrow in NARROW:
+        monkeypatch.setattr(gram_mod, "_NARROW", narrow)
+        rng = np.random.default_rng(b)
+        for m, n in [(12, 12), (20, 9), (9, 20), (30, 30)]:
+            for k in (n // 2, n):
+                a = rng.integers(-50, 50, (m, n))
+                a[:, :k] = rng.choice([0, 5, 7, 11], (m, k)) * rng.integers(1, 50, (m, k))
+                moduli.clear()
+                assert modular_ranks(a, primes) == _reference_ranks(a, primes)
+                # With no unit anywhere, each prime ranks the whole matrix.
+                assert moduli[0] == 385 and (k < n or moduli == [385, 5, 7, 11])
 
 
 def test_modular_ranks_of_empty_and_thin_matrices():
@@ -769,6 +784,78 @@ def test_primes_are_grouped_while_the_float_bound_holds(monkeypatch, primes, mod
     assert list(ranks) == list(dict.fromkeys(primes))
     assert set(ranks.values()) == {3}
     assert calls == moduli
+
+
+def _record_narrow(monkeypatch):
+    """Wrap _narrow_rank; the returned list gets the shape of each call."""
+    shapes = []
+    narrow_rank = gram_mod._narrow_rank
+
+    def record(a, n, units):
+        shapes.append(a.shape)
+        return narrow_rank(a, n, units)
+
+    monkeypatch.setattr(gram_mod, "_narrow_rank", record)
+    return shapes
+
+
+def _narrow_inputs():
+    """(matrix, primes): every Gram matrix with n <= 8 at four groups, and
+    planted per-prime ranks mod 5, 7, 11 with columns scaled by 5, 7 or 11,
+    which hold no unit mod 385, so the elimination defers them."""
+    for primes in [(5, 7, 11), (2, 3), (3, 5, 7, 11, 13), (gram_mod._FLOAT_PRIME,)]:
+        for n in range(1, 9):
+            for lam in partitions_of(n):
+                yield np.array(gram_matrix(lam)), primes
+    rng = np.random.default_rng(385)
+    for m, n in [(12, 12), (20, 9), (9, 20), (30, 30), (48, 48), (48, 20)]:
+        for k in (2, n // 2, n):
+            ranks = {p: int(rng.integers(0, min(m, n) + 1)) for p in (5, 7, 11)}
+            a = _planted(rng, m, n, ranks)
+            a[:, :k] *= rng.choice([5, 7, 11], k)
+            yield a, (5, 7, 11)
+
+
+def test_narrow_path_equals_the_blocked_kernel(monkeypatch):
+    """Both paths of _blocked_rank, _NARROW = 0 forcing the blocked kernel,
+    give the same rank and the same leftover block: pivots and deferrals
+    agree."""
+    shapes = _record_narrow(monkeypatch)
+    narrow = 0
+    for a, primes in _narrow_inputs():
+        n = math.prod(primes)
+        results = []
+        for setting in (0, gram_mod._NARROW):
+            monkeypatch.setattr(gram_mod, "_NARROW", setting)
+            residues = (a % n).astype(np.int32)
+            rank, leftover = gram_mod._blocked_rank(residues, primes, gram_mod._PANEL, np.float64)
+            results.append((rank, leftover.tolist()))
+        assert results[0] == results[1], (a.shape, primes)
+        narrow += max(a.shape) <= gram_mod._NARROW
+    assert len(shapes) == narrow > 100
+
+
+def test_narrow_path_is_exact_at_the_largest_float_modulus(monkeypatch):
+    """[[I_w, (N-1)J], [(N-1)J, wJ]], _NARROW wide with w = _NARROW - 3, at
+    N = 47 * 178481 = 2**23 - 1.  The largest float-path modulus is 2**23, a
+    prime power, so N is the largest product of distinct primes that the
+    float path ranks as one group.  Each of the w pivots subtracts
+    (N-1)**2 from the lower right block, which ends at w - w (N-1)**2, 0
+    mod N: the rank is w at both primes."""
+    primes = (47, 178481)
+    n = math.prod(primes)
+    assert n == _last_float_modulus() - 1 == 2**23 - 1
+    shapes = _record_narrow(monkeypatch)
+    moduli = _record_moduli(monkeypatch)
+    size = gram_mod._NARROW
+    w = size - 3
+    a = np.full((size, size), n - 1, dtype=np.int64)
+    a[:w, :w] = np.eye(w, dtype=np.int64)
+    a[w:, w:] = w
+    assert modular_ranks(a, primes) == dict.fromkeys(primes, w)
+    assert moduli == [n] and shapes == [(size, size)]
+    for p in primes:
+        assert oracles.column_rank(a % p, p) == w
 
 
 def test_joint_ranks_of_10_2():
