@@ -8,9 +8,10 @@ a fresh interpreter importing a checkout's ``src``.  numpy and ``specht.gram``
 load before any clock starts.  Timers on three ``specht.gram`` attributes
 split the call into tableaux (``_standard_tableaux``), assembly
 (``_gram_matrix_cached`` less its tableaux) and elimination (the outermost
-``_ranks``).  Each figure is the median of K runs, the checkouts taking
-turns, in reverse order every other round, so that drift in the machine's
-speed falls on all of them alike.  The output, written whole, records the
+``_ranks``), and a counter on ``_blocked_rank`` gives the kernel calls,
+leftover blocks included.  Each figure is the median of K runs, the
+checkouts taking turns, in reverse order every other round, so that drift
+in the machine's speed falls on all of them alike.  The output, written whole, records the
 machine and each checkout's commit and whether its src/ differs from it.
 Exits non-zero, naming the call, if two runs disagree on d or a rank.
 """
@@ -39,7 +40,9 @@ from pathlib import Path
 # - oracle_grid shapes of d <= 110 at its primes, where fixed costs weigh
 #   most against the matrix work;
 # - the rational sweep's kernel: shapes of d = 14, 35 and 90 at 8388593,
-#   the prime gram_rank_rational ranks at first.
+#   the prime gram_rank_rational ranks at first;
+# - oracle_grid shapes of d = 120-273 at its primes, ranked by column panels
+#   of _narrow_rank, and (9,2,1), d = 320, past _NARROW, as a control.
 CALLS = (
     *(
         (lam, (p,), 16)
@@ -58,6 +61,10 @@ CALLS = (
         for lam in ((7, 1), (10, 1), (4, 2, 1), (6, 3), (8, 3), (9, 2))
     ),
     *((lam, (8388593,), 16) for lam in ((4, 3), (3, 2, 1, 1), (4, 2, 1, 1))),
+    *(
+        (lam, (5, 7, 11), 16)
+        for lam in ((8, 1, 1, 1), (7, 2, 1), (9, 1, 1, 1), (10, 3), (8, 2, 1), (11, 3), (9, 2, 1))
+    ),
 )
 
 
@@ -84,6 +91,15 @@ def _measure(lam: tuple[int, ...], primes: tuple[int, ...], size_cap: int) -> di
 
     for name in ("_standard_tableaux", "_gram_matrix_cached", "_ranks"):
         setattr(gram, name, timed(name, getattr(gram, name)))
+    kernel_calls = 0
+    blocked_rank = gram._blocked_rank
+
+    def counted(*args):
+        nonlocal kernel_calls
+        kernel_calls += 1
+        return blocked_rank(*args)
+
+    gram._blocked_rank = counted
     start = time.perf_counter()
     ranks = gram.gram_ranks_mod_p(lam, primes, size_cap)
     wall = time.perf_counter() - start
@@ -95,6 +111,8 @@ def _measure(lam: tuple[int, ...], primes: tuple[int, ...], size_cap: int) -> di
         "tableaux_s": times["_standard_tableaux"],
         "assembly_s": times["_gram_matrix_cached"] - times["_standard_tableaux"],
         "elimination_s": times["_ranks"],
+        # _blocked_rank calls, the leftover blocks' included
+        "kernel_calls": kernel_calls,
     }
 
 

@@ -29,9 +29,10 @@ kernel is blocked (panels of columns, one Schur update each) on those
 int32 residues in [0, N); only its panel factors L and U and one Schur
 block at a time are float64, or int64 past the float bound.  A matrix of
 at most _NARROW rows and columns over a float-exact N is reduced instead
-right-looking on one int64 copy (8 _NARROW m bytes at most): one rank-1
-update per pivot, with only the pivot column and row reduced mod N, exact
-as each entry stays within _NARROW (N-1)**2 + N - 1 < 2**53.  It pivots on
+in panels of _GJ columns: each panel, copied to int64 (8 _GJ m bytes), is
+reduced by Gauss-Jordan, and the columns to its right take one float64
+product with its pivot columns, exact as each value stays within
+_GJ (N-1)**2 + N - 1 < 2**53.  Both kernels pivot on
 units mod N only; a column with nonzero residues but no unit is deferred,
 and the deferred columns' leftover block is ranked once more for the
 primes at which it is not zero, together, or one by one when none drops
@@ -74,9 +75,15 @@ _DENSE = 1 << 18
 # Columns per elimination panel.
 _PANEL = 128
 # Most rows and columns of a float-exact matrix that _blocked_rank hands to
-# _narrow_rank.  Past it the rank-1 updates lose to the panels: even at
-# d = 53-56, 7-20 % slower at d = 64-78 (AVX-512 Xeon, one BLAS thread).
-_NARROW = 48
+# _narrow_rank, and the columns per Gauss-Jordan panel there.  One sweep
+# over one oracle_grid pass's 129 eliminations (_ranks, leftovers included;
+# min of 9 alternating runs, AVX-512 Xeon, one BLAS thread), total ms with
+# _GJ = 32: blocked kernel alone 135.9, _NARROW = 48 129.2, 200 121.1,
+# 280 118.4, 300 118.2, 320 119.3, 400 118.4; at 300, _GJ = 16 122.7,
+# 24 119.1, 40 121.0, 48 124.0.  The one call past 300, d = 320, ran
+# 9.2 ms blocked and 9.6 here; d = 286 ran 8.6 blocked and 8.3 here.
+_NARROW = 300
+_GJ = 32
 # The largest prime that _float_exact admits.
 _FLOAT_PRIME = 8388593
 
@@ -518,9 +525,12 @@ def _blocked_rank(
     keeps below 2**53 for float64 and below 2**63 for int64.
 
     A float64 call with max(m, w) <= _NARROW goes to _narrow_rank once the
-    unit table is built: one rank-1 update per pivot on an int64 copy (at
-    most 8 * _NARROW * m bytes, less than the blocked kernel's L and U), each
-    entry within _NARROW * (n-1)**2 + n - 1 < 2**53.
+    unit table is built: Gauss-Jordan on an int64 copy of each panel of _GJ
+    columns (8 * _GJ * m bytes), then one float64 product for the columns
+    to its right, each value within _GJ * (n-1)**2 + n - 1 < 2**53.  It
+    sets deferred columns aside in its own order, so its leftover may
+    differ from this kernel's; the pivots plus the leftover's rank mod each
+    prime are the same.
     """
     import numpy as np
 
@@ -574,32 +584,61 @@ def _blocked_rank(
 
 def _narrow_rank(a: np.ndarray, n: int, units: np.ndarray | None) -> tuple[int, np.ndarray]:
     """_blocked_rank of at most _NARROW rows and columns over a float-exact
-    n, right-looking on an int64 copy f of the residues: each pivot, the
-    first unit of f[:, j] mod n, subtracts its reduced column times its
-    reduced row scaled by the pivot's inverse from f[:, j+1:], and nothing
-    else is reduced.  A pivot row becomes 0 mod n.  Pivots, deferrals and
-    the leftover (reduced mod n, int64) are the blocked kernel's."""
+    n, right-looking on panels of at most _GJ columns of the int32 residues,
+    which it overwrites.
+
+    A panel is copied to int64 and reduced by Gauss-Jordan column
+    operations: the pivot is the first unit of its column mod n, and one
+    outer product of that column with the pivot row, reduced and scaled by
+    the pivot's inverse, clears the row from every other panel column and
+    makes the pivot entry 1.  So the pivot columns Q, reduced, have
+    Q[pivots] = I, and the columns to the right of the panel are cleared on
+    the pivot rows by one float64 product, a[rest] -= Q[rest] a[pivots], a
+    block of _PANEL rows at a time, reduced into int32; the pivot rows are
+    dropped.  A column with nonzero residues but no unit is set aside: the
+    panel's set-aside columns, reduced with it, are appended at the right
+    end of a (one copy of a), where each later panel's product reaches
+    them, and the set-aside block is the leftover.  A panel entry takes one
+    product of two residues per pivot of its panel, and a product entry is
+    a residue minus s of them, s <= _GJ: every value stays within
+    s (n-1)**2 + n - 1 <= _PANEL (n-1)**2 + n - 1 < 2**53."""
     import numpy as np
 
-    f = a.astype(np.int64)
-    pivots: list[int] = []
-    j, end = 0, f.shape[1]  # end: the first deferred column
-    while j < end:
-        col = f[:, j] % n
-        unit = col != 0 if units is None else units[col]
-        i = int(unit.argmax())
-        if unit[i]:
-            row = f[i, j + 1 :] % n * pow(int(col[i]), -1, n) % n
-            f[:, j + 1 :] -= col[:, None] * row
-            pivots.append(i)
-        elif col.any():  # defer: swap in the last column not yet deferred
-            end -= 1
-            f[:, [j, end]] = f[:, [end, j]]
-            continue
-        j += 1
-    kept = np.ones(len(f), dtype=bool)
-    kept[pivots] = False
-    return len(pivots), f[kept, end:] % n
+    rank, aside = 0, 0  # aside: the set-aside columns, at the right end of a
+    while len(a) and a.shape[1] > aside:
+        b = min(_GJ, a.shape[1] - aside)
+        f = a[:, :b].astype(np.int64)
+        pivots, cols, deferred = [], [], []
+        for j in range(b):
+            col = f[:, j] % n
+            unit = col != 0 if units is None else units[col]
+            i = int(unit.argmax())
+            if unit[i]:
+                inverse = pow(int(col[i]), -1, n)
+                row = f[i] % n * inverse % n
+                row[j] = (1 - inverse) % n  # f[:, j] becomes col * inverse
+                f -= col[:, None] * row
+                pivots.append(i)
+                cols.append(j)
+            elif col.any():
+                deferred.append(j)
+        rank += len(pivots)
+        kept = np.ones(len(a), dtype=bool)
+        kept[pivots] = False
+        rest = np.flatnonzero(kept)
+        if pivots and b < a.shape[1]:
+            q = (f[rest][:, cols] % n).astype(np.float64)
+            top = a[pivots, b:].astype(np.float64)
+            # rest[k] >= k: no block reads a row an earlier block wrote.
+            for lo in range(0, len(rest), _PANEL):
+                block = rest[lo : lo + _PANEL]
+                schur = a[block, b:] - q[lo : lo + _PANEL] @ top
+                a[lo : lo + len(block), b:] = schur.astype(np.int64) % n
+        a = a[: len(rest), b:]
+        if deferred:
+            aside += len(deferred)
+            a = np.concatenate([a, f[rest][:, deferred] % n], axis=1, dtype=np.int32)
+    return rank, a[:, a.shape[1] - aside :]
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:

@@ -684,23 +684,29 @@ def test_modular_ranks_on_planted_per_prime_ranks(monkeypatch, primes, b):
 
 
 @pytest.mark.parametrize(
-    "ranks, expected_moduli",
+    "ranks, blocked_moduli, narrow_moduli",
     [
-        ({5: 20, 7: 13, 11: 20}, [385, 55]),
-        ({5: 20, 7: 0, 11: 20}, [385, 55, 5, 11]),
-        ({5: 0, 7: 20, 11: 0}, [385, 7]),
+        ({5: 20, 7: 13, 11: 20}, [385, 55], [385, 55, 5, 11]),
+        ({5: 20, 7: 0, 11: 20}, [385, 55, 5, 11], [385, 55, 5, 11]),
+        ({5: 0, 7: 20, 11: 0}, [385, 7], [385, 7]),
     ],
     ids=["deficient-mod-7", "zero-mod-7", "zero-mod-5-and-11"],
 )
-def test_modular_ranks_with_one_prime_apart(monkeypatch, ranks, expected_moduli):
+def test_modular_ranks_with_one_prime_apart(monkeypatch, ranks, blocked_moduli, narrow_moduli):
     """The leftover is zero mod the prime apart, so the other primes rank it
     together: mod 55, or mod 7 alone; when neither 5 nor 11 then drops out,
-    each ranks the new leftover on its own."""
+    each ranks the new leftover on its own.  The blocked kernel's 8-column
+    panels (_NARROW = 0) and _narrow_rank defer different columns of the
+    same matrices, so their sequences differ where the 55 pass leaves a
+    block that neither 5 nor 11 drops out of."""
     monkeypatch.setattr(gram_mod, "_PANEL", 8)
     moduli = _record_moduli(monkeypatch)
-    a = _planted(np.random.default_rng(20), 20, 20, ranks)
-    assert modular_ranks(a, tuple(ranks)) == ranks
-    assert moduli == expected_moduli
+    for narrow, expected_moduli in [(0, blocked_moduli), (gram_mod._NARROW, narrow_moduli)]:
+        monkeypatch.setattr(gram_mod, "_NARROW", narrow)
+        moduli.clear()
+        a = _planted(np.random.default_rng(20), 20, 20, ranks)
+        assert modular_ranks(a, tuple(ranks)) == ranks
+        assert moduli == expected_moduli
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])
@@ -799,16 +805,33 @@ def _record_narrow(monkeypatch):
     return shapes
 
 
+# The oracle_grid benchmark's Gram matrices: (n - |mu|, mu) for these tails
+# mu and 6 <= n <= 14, at its primes.
+GRID_TAILS = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+GRID_PRIMES = (5, 7, 11)
+
+
 def _narrow_inputs():
-    """(matrix, primes): every Gram matrix with n <= 8 at four groups, and
-    planted per-prime ranks mod 5, 7, 11 with columns scaled by 5, 7 or 11,
-    which hold no unit mod 385, so the elimination defers them."""
+    """(matrix, primes) of at most _NARROW rows and columns: every Gram
+    matrix with n <= 8 at four groups; the grid's Gram matrices; and
+    planted per-prime ranks mod 5, 7, 11 with columns scaled by 5, 7 or
+    11, which hold no unit mod 385, so the elimination sets them aside.
+    The tall, wide and square planted matrices past 2 _GJ columns scale
+    columns of the first panel, so a set-aside column takes the products
+    of later panels."""
     for primes in [(5, 7, 11), (2, 3), (3, 5, 7, 11, 13), (gram_mod._FLOAT_PRIME,)]:
         for n in range(1, 9):
             for lam in partitions_of(n):
                 yield np.array(gram_matrix(lam)), primes
+    for mu in GRID_TAILS:
+        for n in range(6, 15):
+            lam = (n - sum(mu), *mu)
+            if specht_dimension(lam) <= gram_mod._NARROW:
+                yield np.array(gram_matrix(lam)), GRID_PRIMES
     rng = np.random.default_rng(385)
-    for m, n in [(12, 12), (20, 9), (9, 20), (30, 30), (48, 48), (48, 20)]:
+    wide = 2 * gram_mod._GJ + 9
+    sizes = [(12, 12), (20, 9), (9, 20), (30, 30), (48, 48), (48, 20)]
+    for m, n in sizes + [(wide, wide), (3 * wide, wide), (wide // 2, 3 * wide)]:
         for k in (2, n // 2, n):
             ranks = {p: int(rng.integers(0, min(m, n) + 1)) for p in (5, 7, 11)}
             a = _planted(rng, m, n, ranks)
@@ -818,37 +841,44 @@ def _narrow_inputs():
 
 def test_narrow_path_equals_the_blocked_kernel(monkeypatch):
     """Both paths of _blocked_rank, _NARROW = 0 forcing the blocked kernel,
-    give the same rank and the same leftover block: pivots and deferrals
-    agree."""
+    give the rank at each prime q of the group: the pivots plus the rank
+    mod q of the leftover equal column_rank of a mod q.  The paths set
+    different columns aside, so their leftovers may differ; each has the
+    m - pivots rows that are not pivot rows, and residues in [0, N)."""
     shapes = _record_narrow(monkeypatch)
     narrow = 0
     for a, primes in _narrow_inputs():
         n = math.prod(primes)
-        results = []
+        expected = [oracles.column_rank(a % q, q) for q in primes]
         for setting in (0, gram_mod._NARROW):
             monkeypatch.setattr(gram_mod, "_NARROW", setting)
             residues = (a % n).astype(np.int32)
             rank, leftover = gram_mod._blocked_rank(residues, primes, gram_mod._PANEL, np.float64)
-            results.append((rank, leftover.tolist()))
-        assert results[0] == results[1], (a.shape, primes)
+            assert len(leftover) == len(a) - rank, (a.shape, primes, setting)
+            assert leftover.min(initial=0) >= 0 and leftover.max(initial=0) < n
+            found = [rank + oracles.column_rank(leftover % q, q) for q in primes]
+            assert found == expected, (a.shape, primes, setting)
         narrow += max(a.shape) <= gram_mod._NARROW
     assert len(shapes) == narrow > 100
 
 
 def test_narrow_path_is_exact_at_the_largest_float_modulus(monkeypatch):
-    """[[I_w, (N-1)J], [(N-1)J, wJ]], _NARROW wide with w = _NARROW - 3, at
-    N = 47 * 178481 = 2**23 - 1.  The largest float-path modulus is 2**23, a
-    prime power, so N is the largest product of distinct primes that the
-    float path ranks as one group.  Each of the w pivots subtracts
-    (N-1)**2 from the lower right block, which ends at w - w (N-1)**2, 0
-    mod N: the rank is w at both primes."""
+    """[[I_w, (N-1)J], [(N-1)J, wJ]], two _GJ-column panels wide with
+    w = 2 _GJ - 3, at N = 47 * 178481 = 2**23 - 1.  The largest float-path
+    modulus is 2**23, a prime power, so N is the largest product of
+    distinct primes that the float path ranks as one group.  Each of the w
+    pivots subtracts (N-1)**2 from the lower right block: the first panel's
+    _GJ of them in its product, the second panel's _GJ - 3 inside its
+    Gauss-Jordan reduction.  The block ends at w - w (N-1)**2, 0 mod N: the
+    rank is w at both primes."""
     primes = (47, 178481)
     n = math.prod(primes)
     assert n == _last_float_modulus() - 1 == 2**23 - 1
     shapes = _record_narrow(monkeypatch)
     moduli = _record_moduli(monkeypatch)
-    size = gram_mod._NARROW
+    size = 2 * gram_mod._GJ
     w = size - 3
+    assert size <= gram_mod._NARROW
     a = np.full((size, size), n - 1, dtype=np.int64)
     a[:w, :w] = np.eye(w, dtype=np.int64)
     a[w:, w:] = w
