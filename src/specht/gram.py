@@ -77,11 +77,11 @@ _PANEL = 128
 # Most rows and columns of a float-exact matrix that _blocked_rank hands to
 # _narrow_rank, and the columns per Gauss-Jordan panel there.  One sweep
 # over one oracle_grid pass's 129 eliminations (_ranks, leftovers included;
-# min of 9 alternating runs, AVX-512 Xeon, one BLAS thread), total ms with
-# _GJ = 32: blocked kernel alone 135.9, _NARROW = 48 129.2, 200 121.1,
-# 280 118.4, 300 118.2, 320 119.3, 400 118.4; at 300, _GJ = 16 122.7,
-# 24 119.1, 40 121.0, 48 124.0.  The one call past 300, d = 320, ran
-# 9.2 ms blocked and 9.6 here; d = 286 ran 8.6 blocked and 8.3 here.
+# min of 15 alternating runs, AVX-512 Xeon, one BLAS thread), total ms with
+# _GJ = 32: blocked kernel alone 138.2, _NARROW = 48 132.8, 200 124.7,
+# 280 123.2, 300 122.2, 320 123.2; at 300, _GJ = 16 125.9, 24 122.2,
+# 40 124.2, 48 127.1.  The one call past 300, d = 320, ran 9.5-9.9 ms on
+# either kernel; d = 286 ran 8.5-8.8 blocked and 8.2 here.
 _NARROW = 300
 _GJ = 32
 # The largest prime that _float_exact admits.
@@ -568,18 +568,29 @@ def _blocked_rank(
             j += 1
         r = len(pivots)
         rank += r
-        kept = np.ones(m, dtype=bool)
-        kept[pivots] = False
-        rest = np.flatnonzero(kept)
-        # Compact the surviving rows upward in place, one block at a time:
-        # rest[j] >= j, so no block reads a row an earlier block wrote.
-        for lo in range(0, len(rest) if b < w else 0, _PANEL):
-            block = rest[lo : lo + _PANEL]
-            schur = a[block, b:] - lower[block, :r] @ upper[:r, b:]
-            a[lo : lo + len(block), b:] = schur.astype(np.int64) % n
-        a = a[: len(rest), b:]
-        if len(rest) == 0 or a.shape[1] == deferred:
+        a, _ = _schur_rows(a, pivots, b, lower[:, :r], upper[:r, b:], n)
+        if len(a) == 0 or a.shape[1] == deferred:
             return rank, a
+
+
+def _schur_rows(
+    a: np.ndarray, pivots: list[int], b: int, left: np.ndarray, right: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a that are not pivots, on its columns from b, less
+    left @ right on those rows and reduced mod n: written over the top rows
+    of a, one block of _PANEL rows at a time, and returned as a view of a,
+    with the indices of the rows kept."""
+    import numpy as np
+
+    kept = np.ones(len(a), dtype=bool)
+    kept[pivots] = False
+    rest = np.flatnonzero(kept)
+    # rest[k] >= k, so no block reads a row an earlier block wrote.
+    for lo in range(0, len(rest) if b < a.shape[1] else 0, _PANEL):
+        block = rest[lo : lo + _PANEL]
+        schur = a[block, b:] - left[block] @ right
+        a[lo : lo + len(block), b:] = schur.astype(np.int64) % n
+    return a[: len(rest), b:], rest
 
 
 def _narrow_rank(a: np.ndarray, n: int, units: np.ndarray | None) -> tuple[int, np.ndarray]:
@@ -623,18 +634,8 @@ def _narrow_rank(a: np.ndarray, n: int, units: np.ndarray | None) -> tuple[int, 
             elif col.any():
                 deferred.append(j)
         rank += len(pivots)
-        kept = np.ones(len(a), dtype=bool)
-        kept[pivots] = False
-        rest = np.flatnonzero(kept)
-        if pivots and b < a.shape[1]:
-            q = (f[rest][:, cols] % n).astype(np.float64)
-            top = a[pivots, b:].astype(np.float64)
-            # rest[k] >= k: no block reads a row an earlier block wrote.
-            for lo in range(0, len(rest), _PANEL):
-                block = rest[lo : lo + _PANEL]
-                schur = a[block, b:] - q[lo : lo + _PANEL] @ top
-                a[lo : lo + len(block), b:] = schur.astype(np.int64) % n
-        a = a[: len(rest), b:]
+        q = (f[:, cols] % n).astype(np.float64)
+        a, rest = _schur_rows(a, pivots, b, q, a[pivots, b:].astype(np.float64), n)
         if deferred:
             aside += len(deferred)
             a = np.concatenate([a, f[rest][:, deferred] % n], axis=1, dtype=np.int32)
