@@ -78,10 +78,10 @@ _PANEL = 128
 # _narrow_rank, and the columns per Gauss-Jordan panel there.  One sweep
 # over one oracle_grid pass's 129 eliminations (_ranks, leftovers included;
 # min of 15 alternating runs, AVX-512 Xeon, one BLAS thread), total ms with
-# _GJ = 32: blocked kernel alone 138.2, _NARROW = 48 132.8, 200 124.7,
-# 280 123.2, 300 122.2, 320 123.2; at 300, _GJ = 16 125.9, 24 122.2,
-# 40 124.2, 48 127.1.  The one call past 300, d = 320, ran 9.5-9.9 ms on
-# either kernel; d = 286 ran 8.5-8.8 blocked and 8.2 here.
+# _GJ = 32: blocked kernel alone 132.6, _NARROW = 48 126.9, 200 120.2,
+# 280 117.2, 300 117.1, 320 117.5; at 300, _GJ = 16 120.4, 24 117.7,
+# 40 119.5, 48 122.0.  The one call past 300, d = 320, ran 9.1-9.3 ms
+# blocked and 9.5 here; d = 286 ran 8.5-8.8 blocked and 7.9 here.
 _NARROW = 300
 _GJ = 32
 # The largest prime that _float_exact admits.
@@ -579,14 +579,14 @@ def _schur_rows(
     """The rows of a that are not pivots, on its columns from b, less
     left @ right on those rows and reduced mod n: written over the top rows
     of a, one block of _PANEL rows at a time, and returned as a view of a,
-    with the indices of the rows kept."""
+    with the indices of the rows kept.  Without pivots nothing changes."""
     import numpy as np
 
     kept = np.ones(len(a), dtype=bool)
     kept[pivots] = False
     rest = np.flatnonzero(kept)
     # rest[k] >= k, so no block reads a row an earlier block wrote.
-    for lo in range(0, len(rest) if b < a.shape[1] else 0, _PANEL):
+    for lo in range(0, len(rest) if pivots and b < a.shape[1] else 0, _PANEL):
         block = rest[lo : lo + _PANEL]
         schur = a[block, b:] - left[block] @ right
         a[lo : lo + len(block), b:] = schur.astype(np.int64) % n
