@@ -501,7 +501,8 @@ def _blocked_rank(
 ) -> tuple[int, np.ndarray]:
     """Right-looking blocked elimination over Z/n, n the product of the
     primes, of an int32 array of residues, which it overwrites: the number
-    of pivots, and the leftover block (a view of a).
+    of pivots, and the leftover block of int32 residues (a view of a, or a
+    new array once _narrow_rank has set a column aside).
 
     Each panel of `panel` columns is reduced column by column against the
     pivots found so far in it (left-looking), the first unit residue as
