@@ -41,8 +41,12 @@ from pathlib import Path
 #   most against the matrix work;
 # - the rational sweep's kernel: shapes of d = 14, 35 and 90 at 8388593,
 #   the prime gram_rank_rational ranks at first;
-# - oracle_grid shapes of d = 120-273 at its primes, ranked by column panels
-#   of _narrow_rank, and (9,2,1), d = 320, past _NARROW, as a control.
+# - oracle_grid shapes of d = 120-320 at its primes, ranked by column panels
+#   of _narrow_rank: (9,2,1), d = 320, is past _NARROW, but the grid's
+#   modulus 385 keeps the panel kernel's product in float32 at any size;
+# - (10,2,1,1), d = 2079, on the panel kernel at 5,7,11 and at 13, and on
+#   the blocked kernel at 5,7,11,13, past the float32 bound; (12,2,1,1),
+#   d = 4004, at 5,7,11.
 CALLS = (
     *(
         (lam, (p,), 16)
@@ -65,6 +69,8 @@ CALLS = (
         (lam, (5, 7, 11), 16)
         for lam in ((8, 1, 1, 1), (7, 2, 1), (9, 1, 1, 1), (10, 3), (8, 2, 1), (11, 3), (9, 2, 1))
     ),
+    *(((10, 2, 1, 1), primes, 16) for primes in ((5, 7, 11), (13,), (5, 7, 11, 13))),
+    ((12, 2, 1, 1), (5, 7, 11), 16),
 )
 
 

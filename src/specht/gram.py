@@ -27,12 +27,14 @@ bytes; a group of primes ranked before the last one, which happens only
 past the float bound, takes an int32 residue copy).  The elimination
 kernel is blocked (panels of columns, one Schur update each) on those
 int32 residues in [0, N); only its panel factors L and U and one Schur
-block at a time are float64, or int64 past the float bound.  A matrix of
-at most _NARROW rows and columns over a float-exact N is reduced instead
-in panels of _GJ columns: each panel, copied to int64 (8 _GJ m bytes), is
-reduced by Gauss-Jordan, and the columns to its right take one float64
-product with its pivot columns, exact as each value stays within
-_GJ (N-1)**2 + N - 1 < 2**53.  Both kernels pivot on
+block at a time are float64, or int64 past the float bound.  A float-exact
+N of at most 725 at any size, or a matrix of at most _NARROW rows and
+columns over a larger float-exact N, is reduced instead in panels of _GJ
+columns: each panel is copied, in int32 while _GJ (N-1)**2 + N - 1 < 2**31
+(N <= 8192), else int64, and reduced by Gauss-Jordan, and the columns to
+its right take one product with its pivot columns, in float32 while
+_GJ (N-1)**2 < 2**24 (N <= 725), else float64, subtracted from the int32
+matrix unreduced until its entries could pass 2**31.  Both kernels pivot on
 units mod N only; a column with nonzero residues but no unit is deferred,
 and the deferred columns' leftover block is ranked once more for the
 primes at which it is not zero, together, or one by one when none drops
@@ -75,13 +77,17 @@ _DENSE = 1 << 18
 # Columns per elimination panel.
 _PANEL = 128
 # Most rows and columns of a float-exact matrix that _blocked_rank hands to
-# _narrow_rank, and the columns per Gauss-Jordan panel there.  One sweep
-# over one oracle_grid pass's 129 eliminations (_ranks, leftovers included;
-# min of 15 alternating runs, AVX-512 Xeon, one BLAS thread), total ms with
-# _GJ = 32: blocked kernel alone 132.6, _NARROW = 48 126.9, 200 120.2,
-# 280 117.2, 300 117.1, 320 117.5; at 300, _GJ = 16 120.4, 24 117.7,
-# 40 119.5, 48 122.0.  The one call past 300, d = 320, ran 9.1-9.3 ms
-# blocked and 9.5 here; d = 286 ran 8.5-8.8 blocked and 7.9 here.
+# _narrow_rank when its product is float64 (N > 725; at N <= 725 every
+# size goes there), and the columns per Gauss-Jordan panel there.  Totals
+# of one oracle_grid pass's 129 eliminations (_ranks, leftovers included,
+# all at N <= 725 or d <= 90; min of 15 interleaved runs in one process,
+# AVX-512 Xeon, one BLAS thread): 119.1 ms with the blocked kernel past
+# d = 300, 93.9 with _GJ = 32; _GJ = 16 98.1, 24 94.5, 40 96.2, 48 99.5.
+# Past 725, blocked against panel kernel on the grid's Gram matrices (min
+# of 9, ms): at 8388593, whose int64 panels reduce every product, d = 273
+# 6.70 / 6.55, 286 7.21 / 7.31, 320 8.43 / 9.10, 560 23.4 / 32.1; at 5005
+# the panel kernel is faster up to d = 560 (23.6 / 21.4) but not at
+# d = 2079, (10,2,1,1).
 _NARROW = 300
 _GJ = 32
 # The largest prime that _float_exact admits.
@@ -414,6 +420,17 @@ def _float_exact(n: int) -> bool:
     return _PANEL * (n - 1) ** 2 + n - 1 < 1 << 53
 
 
+def _narrow_types(n: int) -> tuple[type, type]:
+    """The panel and product types of _narrow_rank mod n: int32 while
+    _GJ (n-1)**2 + n - 1 < 2**31 (n <= 8192), else int64; float32 while
+    _GJ (n-1)**2 < 2**24 (n <= 725), else float64."""
+    import numpy as np
+
+    square = (n - 1) ** 2
+    panel = np.int32 if _GJ * square + n - 1 < 1 << 31 else np.int64
+    return panel, np.float32 if _GJ * square < 1 << 24 else np.float64
+
+
 def _checked(primes: Iterable[int], kernel: bool = True) -> list[int]:
     """The distinct primes in order; NotPrime for one that is not prime and,
     for the elimination ``kernel``, ValueError for one past its 2**31 - 1."""
@@ -502,7 +519,7 @@ def _blocked_rank(
     """Right-looking blocked elimination over Z/n, n the product of the
     primes, of an int32 array of residues, which it overwrites: the number
     of pivots, and the leftover block of int32 residues (a view of a, or a
-    new array once _narrow_rank has set a column aside).
+    new array).
 
     Each panel of `panel` columns is reduced column by column against the
     pivots found so far in it (left-looking), the first unit residue as
@@ -525,13 +542,15 @@ def _blocked_rank(
     partial sum lie within panel * (n-1)**2 + n - 1, which modular_ranks
     keeps below 2**53 for float64 and below 2**63 for int64.
 
-    A float64 call with max(m, w) <= _NARROW goes to _narrow_rank once the
-    unit table is built: Gauss-Jordan on an int64 copy of each panel of _GJ
-    columns (8 * _GJ * m bytes), then one float64 product for the columns
-    to its right, each value within _GJ * (n-1)**2 + n - 1 < 2**53.  It
-    sets deferred columns aside in its own order, so its leftover may
-    differ from this kernel's; the pivots plus the leftover's rank mod each
-    prime are the same.
+    A float64 call goes to _narrow_rank once the unit table is built when
+    max(m, w) <= _NARROW or its product is float32 (n <= 725, see
+    _narrow_types), so at any size for a small n: Gauss-Jordan on an int32
+    copy of each panel of _GJ columns (int64 past n = 8192), then one
+    float32 or float64 product for the columns to its right, subtracted
+    unreduced while the int32 entries stay within 2**31.  It sets deferred
+    columns aside in its own order, so its leftover may differ from this
+    kernel's; the pivots plus the leftover's rank mod each prime are the
+    same.
     """
     import numpy as np
 
@@ -541,7 +560,7 @@ def _blocked_rank(
         units = np.ones(n, dtype=bool)  # indexed by residue
         for q in primes:
             units[::q] = False
-    if max(a.shape) <= _NARROW and dtype is np.float64:
+    if dtype is np.float64 and (max(a.shape) <= _NARROW or _narrow_types(n)[1] is np.float32):
         return _narrow_rank(a, n, units)
     rank, deferred = 0, 0  # deferred: the columns at the right end
     while True:  # until the panel reaches the deferred columns, or no row is left
@@ -575,12 +594,18 @@ def _blocked_rank(
 
 
 def _schur_rows(
-    a: np.ndarray, pivots: list[int], b: int, left: np.ndarray, right: np.ndarray, n: int
+    a: np.ndarray,
+    pivots: list[int],
+    b: int,
+    left: np.ndarray,
+    right: np.ndarray,
+    n: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a that are not pivots, on its columns from b, less
-    left @ right on those rows and reduced mod n: written over the top rows
-    of a, one block of _PANEL rows at a time, and returned as a view of a,
-    with the indices of the rows kept.  Without pivots nothing changes."""
+    left @ right on those rows, reduced mod n (for n None, the product is
+    cast to a's type and not reduced): written over the top rows of a, one
+    block of _PANEL rows at a time, and returned as a view of a, with the
+    indices of the rows kept.  Without pivots nothing changes."""
     import numpy as np
 
     kept = np.ones(len(a), dtype=bool)
@@ -589,41 +614,61 @@ def _schur_rows(
     # rest[k] >= k, so no block reads a row an earlier block wrote.
     for lo in range(0, len(rest) if pivots and b < a.shape[1] else 0, _PANEL):
         block = rest[lo : lo + _PANEL]
-        schur = a[block, b:] - left[block] @ right
-        a[lo : lo + len(block), b:] = schur.astype(np.int64) % n
+        if n is None:
+            a[lo : lo + len(block), b:] = a[block, b:] - (left[block] @ right).astype(a.dtype)
+        else:
+            a[lo : lo + len(block), b:] = (a[block, b:] - left[block] @ right).astype(np.int64) % n
     return a[: len(rest), b:], rest
 
 
 def _narrow_rank(a: np.ndarray, n: int, units: np.ndarray | None) -> tuple[int, np.ndarray]:
-    """_blocked_rank of at most _NARROW rows and columns over a float-exact
-    n, right-looking on panels of at most _GJ columns of the int32 residues,
-    which it overwrites.
+    """_blocked_rank over a float-exact n, right-looking on panels of at
+    most _GJ columns of the int32 matrix, which it overwrites.
 
-    A panel is copied to int64 and reduced by Gauss-Jordan column
+    Each panel is copied, reduced mod n, and reduced by Gauss-Jordan column
     operations: the pivot is the first unit of its column mod n, and one
     outer product of that column with the pivot row, reduced and scaled by
     the pivot's inverse, clears the row from every other panel column and
     makes the pivot entry 1.  So the pivot columns Q, reduced, have
     Q[pivots] = I, and the columns to the right of the panel are cleared on
-    the pivot rows by one float64 product, a[rest] -= Q[rest] a[pivots], a
-    block of _PANEL rows at a time, reduced into int32; the pivot rows are
-    dropped.  A column with nonzero residues but no unit is set aside: the
-    panel's set-aside columns, reduced with it, are appended at the right
-    end of a (one copy of a), where each later panel's product reaches
-    them, and the set-aside block is the leftover.  A panel entry takes one
-    product of two residues per pivot of its panel, and a product entry is
-    a residue minus s of them, s <= _GJ: every value stays within
-    s (n-1)**2 + n - 1 <= _PANEL (n-1)**2 + n - 1 < 2**53."""
+    the pivot rows by one product, a[rest] -= Q[rest] (a[pivots] % n), a
+    block of _PANEL rows at a time; the pivot rows are dropped.  A column
+    with nonzero residues but no unit is set aside: the set-aside columns
+    sit at the left end of a and move, after each panel, to where the
+    columns right of it begin, so each later panel's product reaches them;
+    reduced, they are the leftover.
+
+    Exact by three bounds on s <= _GJ products of two residues, each at
+    most (n-1)**2 (_narrow_types):
+    - a panel entry is a residue minus one product per pivot of its panel,
+      within _GJ (n-1)**2 + n - 1: the panel is int32 while that is below
+      2**31 (n <= 8192), else int64;
+    - an entry of Q[rest] (a[pivots] % n) is a sum of s products, so it and
+      each partial sum are nonnegative integers of at most _GJ (n-1)**2:
+      the product is float32 while that is below 2**24 (n <= 725), else
+      float64, below 2**53;
+    - the product is subtracted without reduction: a's entries lie in
+      [-bound, n), and a panel of r pivots subtracts its product in int32
+      while bound + r (n-1)**2 < 2**31, raising bound by r (n-1)**2, or
+      else in float64, exact within 2**31 + _GJ (n-1)**2 < 2**53, then
+      reduces the result and resets bound to n - 1.
+    The panel copy, the pivot rows and the leftover are reduced before use.
+    As bound never passes n - 1 + rank (n-1)**2, a matrix of rank below
+    14 564 is never reduced at n = 385."""
     import numpy as np
 
-    rank, aside = 0, 0  # aside: the set-aside columns, at the right end of a
+    square = (n - 1) ** 2
+    panel_type, product_type = _narrow_types(n)
+    rank, aside, bound = 0, 0, n - 1  # aside: the set-aside columns, at the left end of a
     while len(a) and a.shape[1] > aside:
         b = min(_GJ, a.shape[1] - aside)
-        f = a[:, :b].astype(np.int64)
+        f = a[:, aside : aside + b]
+        f = (f if bound < n else f % n).astype(panel_type)
         pivots, cols, deferred = [], [], []
         for j in range(b):
             col = f[:, j] % n
-            unit = col != 0 if units is None else units[col]
+            # take: faster than [] on an int32 index (numpy 2.4)
+            unit = col != 0 if units is None else units.take(col)
             i = int(unit.argmax())
             if unit[i]:
                 inverse = pow(int(col[i]), -1, n)
@@ -635,12 +680,22 @@ def _narrow_rank(a: np.ndarray, n: int, units: np.ndarray | None) -> tuple[int, 
             elif col.any():
                 deferred.append(j)
         rank += len(pivots)
-        q = (f[:, cols] % n).astype(np.float64)
-        a, rest = _schur_rows(a, pivots, b, q, a[pivots, b:].astype(np.float64), n)
+        # The set-aside columns, this panel's last, move right to end where
+        # the columns right of the panel begin; this panel's are 0 on its
+        # pivot rows.
+        start = b - len(deferred)
+        if aside and start:
+            a[:, start : start + aside] = a[:, :aside]
         if deferred:
+            a[:, start + aside : aside + b] = f[:, deferred] % n
             aside += len(deferred)
-            a = np.concatenate([a, f[rest][:, deferred] % n], axis=1, dtype=np.int32)
-    return rank, a[:, a.shape[1] - aside :]
+        lazy = bound + len(pivots) * square < 1 << 31
+        q = (f[:, cols] % n).astype(product_type)
+        right = a[pivots, start:]
+        right = (right if bound < n else right % n).astype(product_type)
+        a, _ = _schur_rows(a, pivots, start, q, right, None if lazy else n)
+        bound = bound + len(pivots) * square if lazy else n - 1
+    return rank, a[:, :aside] if bound < n else a[:, :aside] % n
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:

@@ -359,6 +359,47 @@ def james_two_part_dimension(n, m, p):
     return dims[m]
 
 
+def conjugate(lam):
+    """The transposed shape: part j counts the rows of lam longer than j."""
+    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
+
+
+def jantzen_schaper(lam, p):
+    """The Jantzen-Schaper sum of S^lam over F_p as {nu: c_nu}, zero
+    coefficients dropped: the sum over i > 0 of [S^lam(i)], S^lam(i) the
+    Jantzen filtration of the Gram form, is the sum of c_nu [S^nu].
+
+    Reference form: Jantzen's sum formula for the GL_N Weyl module of the
+    conjugate shape lam', on N = n beads B_i = lam'_i + N - i, pulled back
+    through the Schur functor (Jantzen, Representations of Algebraic
+    Groups, II.8.19; James and Mathas, Proc. LMS 74, 1997).  For each pair
+    of beads B_i > B_j and each c with 0 < c < B_i - B_j and p | c, the move
+    B_i -> B_j + c, B_j -> B_i - c adds sgn * v_p(c) [S^nu]: sgn is the sign
+    of the permutation that sorts the moved beads into decreasing order, and
+    nu is the conjugate of the partition they give.  A move that puts two
+    beads in one place adds nothing.  S^lam is irreducible exactly when the
+    sum is empty, and for p-regular lam, dim D^lam >= dim S^lam minus the
+    sum of c_nu dim S^nu."""
+    n = sum(lam)
+    columns = conjugate(lam)
+    beads = [(columns[i] if i < len(columns) else 0) + n - 1 - i for i in range(n)]
+    total = {}
+    for i, j in ((i, j) for i in range(n) for j in range(i + 1, n)):
+        for c in range(p, beads[i] - beads[j], p):
+            moved = beads[:]
+            moved[i], moved[j] = beads[j] + c, beads[i] - c
+            if len(set(moved)) < n:
+                continue
+            inversions = sum(x < y for k, x in enumerate(moved) for y in moved[k + 1 :])
+            places = sorted(moved, reverse=True)
+            nu = conjugate(tuple(b - (n - 1 - k) for k, b in enumerate(places) if b > n - 1 - k))
+            valuation, rest = 0, c
+            while rest % p == 0:
+                rest, valuation = rest // p, valuation + 1
+            total[nu] = total.get(nu, 0) + (-1) ** inversions * valuation
+    return {nu: coefficient for nu, coefficient in total.items() if coefficient}
+
+
 # ---------------------------------------------------------------------------
 # prime divisors by trial division
 

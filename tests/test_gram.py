@@ -686,19 +686,20 @@ def test_modular_ranks_on_planted_per_prime_ranks(monkeypatch, primes, b):
 @pytest.mark.parametrize(
     "ranks, blocked_moduli, narrow_moduli",
     [
-        ({5: 20, 7: 13, 11: 20}, [385, 55], [385, 55, 5, 11]),
-        ({5: 20, 7: 0, 11: 20}, [385, 55, 5, 11], [385, 55, 5, 11]),
-        ({5: 0, 7: 20, 11: 0}, [385, 7], [385, 7]),
+        ({5: 20, 7: 13, 11: 20, 13: 20}, [5005, 715], [5005, 5, 7, 11, 13]),
+        ({5: 20, 7: 0, 11: 20, 13: 20}, [5005, 715, 5, 11, 13], [5005, 715, 5, 11, 13]),
+        ({5: 0, 7: 20, 11: 0, 13: 20}, [5005, 91, 7, 13], [5005, 91, 7, 13]),
     ],
     ids=["deficient-mod-7", "zero-mod-7", "zero-mod-5-and-11"],
 )
 def test_modular_ranks_with_one_prime_apart(monkeypatch, ranks, blocked_moduli, narrow_moduli):
-    """The leftover is zero mod the prime apart, so the other primes rank it
-    together: mod 55, or mod 7 alone; when neither 5 nor 11 then drops out,
-    each ranks the new leftover on its own.  The blocked kernel's 8-column
-    panels (_NARROW = 0) and _narrow_rank defer different columns of the
-    same matrices, so their sequences differ where the 55 pass leaves a
-    block that neither 5 nor 11 drops out of."""
+    """At 5005 = 5 * 7 * 11 * 13, past the float32 bound, where _NARROW = 0
+    takes the blocked kernel's 8-column panels.  The leftover is zero mod
+    the primes apart, so the others rank it together, mod 715 or mod 91;
+    when none of those then drops out, each ranks the new leftover on its
+    own.  The blocked kernel and _narrow_rank defer different columns of
+    the same matrices, so their sequences differ where _narrow_rank's
+    leftover is not zero mod 7 and no prime drops out of it."""
     monkeypatch.setattr(gram_mod, "_PANEL", 8)
     moduli = _record_moduli(monkeypatch)
     for narrow, expected_moduli in [(0, blocked_moduli), (gram_mod._NARROW, narrow_moduli)]:
@@ -723,22 +724,23 @@ def test_leftover_is_ranked_once_by_the_other_primes(monkeypatch, q):
 
 @pytest.mark.parametrize("b", [8, 128])
 def test_columns_without_units_are_ranked_at_each_prime(monkeypatch, b):
-    """Every nonzero entry of the first columns is a multiple of 5, 7 or 11,
-    so none is a unit mod 385: the joint pass defers those columns."""
+    """Every nonzero entry of the first columns is a multiple of 7, 11 or
+    13, so none is a unit mod 1001: the joint pass defers those columns.
+    1001 is past the float32 bound, so _NARROW = 0 takes the blocked kernel."""
     monkeypatch.setattr(gram_mod, "_PANEL", b)
     moduli = _record_moduli(monkeypatch)
-    primes = (5, 7, 11)
+    primes = (7, 11, 13)
     for narrow in NARROW:
         monkeypatch.setattr(gram_mod, "_NARROW", narrow)
         rng = np.random.default_rng(b)
         for m, n in [(12, 12), (20, 9), (9, 20), (30, 30)]:
             for k in (n // 2, n):
                 a = rng.integers(-50, 50, (m, n))
-                a[:, :k] = rng.choice([0, 5, 7, 11], (m, k)) * rng.integers(1, 50, (m, k))
+                a[:, :k] = rng.choice([0, 7, 11, 13], (m, k)) * rng.integers(1, 50, (m, k))
                 moduli.clear()
                 assert modular_ranks(a, primes) == _reference_ranks(a, primes)
                 # With no unit anywhere, each prime ranks the whole matrix.
-                assert moduli[0] == 385 and (k < n or moduli == [385, 5, 7, 11])
+                assert moduli[0] == 1001 and (k < n or moduli == [1001, 7, 11, 13])
 
 
 def test_modular_ranks_of_empty_and_thin_matrices():
@@ -806,20 +808,20 @@ def _record_narrow(monkeypatch):
 
 
 # The oracle_grid benchmark's Gram matrices: (n - |mu|, mu) for these tails
-# mu and 6 <= n <= 14, at its primes.
+# mu and 6 <= n <= 14.
 GRID_TAILS = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
-GRID_PRIMES = (5, 7, 11)
 
 
 def _narrow_inputs():
-    """(matrix, primes) of at most _NARROW rows and columns: every Gram
-    matrix with n <= 8 at four groups; the grid's Gram matrices; and
-    planted per-prime ranks mod 5, 7, 11 with columns scaled by 5, 7 or
-    11, which hold no unit mod 385, so the elimination sets them aside.
-    The tall, wide and square planted matrices past 2 _GJ columns scale
-    columns of the first panel, so a set-aside column takes the products
-    of later panels."""
-    for primes in [(5, 7, 11), (2, 3), (3, 5, 7, 11, 13), (gram_mod._FLOAT_PRIME,)]:
+    """(matrix, primes) of at most _NARROW rows and columns, each group's
+    product past the float32 bound, so that _NARROW = 0 takes the blocked
+    kernel: every Gram matrix with n <= 8 at four groups; the grid's Gram
+    matrices at its primes 5, 7, 11 and 13; and planted per-prime ranks mod
+    7, 11, 13 with columns scaled by 7, 11 or 13, which hold no unit mod
+    1001, so the elimination sets them aside.  The tall, wide and square
+    planted matrices past 2 _GJ columns scale columns of the first panel,
+    so a set-aside column takes the products of later panels."""
+    for primes in [(7, 11, 13), (2, 3, 5, 7, 11), (3, 5, 7, 11, 13), (gram_mod._FLOAT_PRIME,)]:
         for n in range(1, 9):
             for lam in partitions_of(n):
                 yield np.array(gram_matrix(lam)), primes
@@ -827,16 +829,16 @@ def _narrow_inputs():
         for n in range(6, 15):
             lam = (n - sum(mu), *mu)
             if specht_dimension(lam) <= gram_mod._NARROW:
-                yield np.array(gram_matrix(lam)), GRID_PRIMES
-    rng = np.random.default_rng(385)
+                yield np.array(gram_matrix(lam)), (5, 7, 11, 13)
+    rng = np.random.default_rng(1001)
     wide = 2 * gram_mod._GJ + 9
     sizes = [(12, 12), (20, 9), (9, 20), (30, 30), (48, 48), (48, 20)]
     for m, n in sizes + [(wide, wide), (3 * wide, wide), (wide // 2, 3 * wide)]:
         for k in (2, n // 2, n):
-            ranks = {p: int(rng.integers(0, min(m, n) + 1)) for p in (5, 7, 11)}
+            ranks = {p: int(rng.integers(0, min(m, n) + 1)) for p in (7, 11, 13)}
             a = _planted(rng, m, n, ranks)
-            a[:, :k] *= rng.choice([5, 7, 11], k)
-            yield a, (5, 7, 11)
+            a[:, :k] *= rng.choice([7, 11, 13], k)
+            yield a, (7, 11, 13)
 
 
 def test_narrow_path_equals_the_blocked_kernel(monkeypatch):
@@ -888,6 +890,109 @@ def test_narrow_path_is_exact_at_the_largest_float_modulus(monkeypatch):
         assert oracles.column_rank(a % p, p) == w
 
 
+def test_narrow_types_follow_the_exactness_bounds():
+    """int32 panels while _GJ (N-1)**2 + N - 1 < 2**31, float32 products
+    while _GJ (N-1)**2 < 2**24: the last moduli are 8192 and 725."""
+    assert gram_mod._GJ == 32
+    types = {n: gram_mod._narrow_types(n) for n in (385, 725, 726, 8192, 8193, 8388593)}
+    assert types == {
+        385: (np.int32, np.float32),
+        725: (np.int32, np.float32),
+        726: (np.int32, np.float64),
+        8192: (np.int32, np.float64),
+        8193: (np.int64, np.float64),
+        8388593: (np.int64, np.float64),
+    }
+
+
+@pytest.mark.parametrize("p, panel", [(8191, np.int32), (8209, np.int64)])
+def test_panel_is_exact_on_its_largest_entry(monkeypatch, p, panel):
+    """A first panel whose Gauss-Jordan reduction takes all _GJ products of
+    (p-1)**2 on one entry: rows i < _GJ - 1 are e_i + (p-1) e_last, row
+    _GJ - 1 is (p+1)/2 e_last (inverse 2, so its own update is (p-1)**2
+    too), and the last row is p - 1 but 30 in the last column, which falls
+    to 30 - _GJ (p-1)**2: within int32 at 8191, past it at 8209.  The last
+    row, right part included, is a combination of the others, so the rank
+    is _GJ; a wrong residue on it would make it _GJ + 1."""
+    g = gram_mod._GJ
+    assert gram_mod._narrow_types(p)[0] is panel
+    assert (30 - g * (p - 1) ** 2 >= -(2**31)) == (panel is np.int32)
+    top = np.zeros((g, g), dtype=np.int64)
+    top[np.arange(g - 1), np.arange(g - 1)] = 1
+    top[: g - 1, -1] = p - 1
+    top[-1, -1] = (p + 1) // 2
+    rows = np.hstack([top, np.random.default_rng(p).integers(0, p, (g, 40))])
+    combination = np.full(g, p - 1)
+    combination[-1] = p - 2
+    a = np.vstack([rows, combination @ rows % p])
+    assert a[-1, :g].tolist() == [p - 1] * (g - 1) + [30]
+    shapes = _record_narrow(monkeypatch)
+    assert modular_rank(a, p) == g == oracles.column_rank(a % p, p)
+    assert shapes == [a.shape]
+
+
+@pytest.mark.parametrize("p, product", [(719, np.float32), (727, np.float64)])
+def test_product_is_exact_on_its_largest_entries(monkeypatch, p, product):
+    """[[I, R], [C, C R mod p]] with _GJ pivot columns: C and R are p - 1,
+    so one product entry is _GJ (p-1)**2, but for C[1, 0] = R[0, 1] = p - 2,
+    which makes another odd, (p-2)**2 + (_GJ - 1) (p-1)**2: below 2**24 at
+    719, past it at 727, where float32 would round it.  The rank is _GJ."""
+    g = gram_mod._GJ
+    assert gram_mod._narrow_types(p)[1] is product
+    c = np.full((3, g), p - 1, dtype=np.int64)
+    r = np.full((g, 5), p - 1, dtype=np.int64)
+    c[1, 0] = r[0, 1] = p - 2
+    products = c @ r
+    assert products.max() == g * (p - 1) ** 2 and products[1, 1] % 2 == 1
+    assert (products[1, 1] < 2**24) == (product is np.float32)
+    a = np.block([[np.eye(g, dtype=np.int64), r], [c, products % p]])
+    shapes = _record_narrow(monkeypatch)
+    assert modular_rank(a, p) == g == oracles.column_rank(a % p, p)
+    assert shapes == [a.shape]
+
+
+def test_lazy_reduction_on_a_dense_matrix_of_full_rank(monkeypatch):
+    """300 x 300 at N = 5005, L U mod N for unit triangular L and U, so of
+    full rank at every prime, with residues up to N - 1.  Each panel of 32
+    pivots raises the bound by 32 (N-1)**2, so the third one's product would
+    pass 2**31: that panel subtracts in float64 and reduces, and so does
+    every third panel after it."""
+    primes = (5, 7, 11, 13)
+    n = math.prod(primes)
+    size = gram_mod._NARROW
+    rng = np.random.default_rng(n)
+    low = np.tril(rng.integers(0, n, (size, size)), -1) + np.eye(size, dtype=np.int64)
+    up = np.triu(rng.integers(0, n, (size, size)), 1) + np.eye(size, dtype=np.int64)
+    a = low @ up % n
+    assert a.max() == n - 1
+    moduli = []
+    schur_rows = gram_mod._schur_rows
+
+    def record(a, pivots, b, left, right, n):
+        moduli.append(n)
+        return schur_rows(a, pivots, b, left, right, n)
+
+    monkeypatch.setattr(gram_mod, "_schur_rows", record)
+    assert modular_ranks(a, primes) == dict.fromkeys(primes, size)
+    assert moduli[:6] == [None, None, n, None, None, n]
+    assert [oracles.column_rank(a % p, p) for p in primes] == [size] * 4
+
+
+@pytest.mark.parametrize(
+    "primes, narrow",
+    [((5, 7, 11), True), ((719,), True), ((727,), False), ((7, 11, 13), False)],
+    ids=str,
+)
+def test_float32_moduli_take_the_panel_kernel_at_any_size(monkeypatch, primes, narrow):
+    """Past _NARROW rows and columns, the panel kernel ranks a matrix while
+    its product is float32 (N <= 725); larger moduli take the blocked one."""
+    shapes = _record_narrow(monkeypatch)
+    m, w = gram_mod._NARROW + 1, gram_mod._NARROW + 9
+    a = np.random.default_rng(m).integers(0, math.prod(primes), (m, w))
+    assert modular_ranks(a, primes) == _reference_ranks(a, primes)
+    assert (shapes[:1] == [(m, w)]) == narrow
+
+
 def test_joint_ranks_of_10_2():
     """d = 54, of full rank mod 7 only.  Deferring a column without swapping
     its U entries along with it gives 48 mod 5."""
@@ -933,30 +1038,49 @@ def test_gram_ranks_share_no_matrix_between_calls(primes):
         assert gram_matrix(lam) == expected
 
 
-def test_rank_call_holds_one_int32_matrix():
-    """Traced peak of a joint rank call: the d x d int32 matrix (4d^2 bytes)
-    plus at most 41 d _PANEL bytes.  The elimination's first panel holds
-    L (d x _PANEL) and U (_PANEL x d) in float64, 16 d _PANEL bytes, and
-    one Schur block of _PANEL rows at a time: the float64 difference, its
-    int64 cast and the int64 residues, 24 d _PANEL bytes (the int32 rows
-    and float64 product it starts from, 12 d _PANEL, are freed before the
-    cast).  1 d _PANEL covers the O(d) column vectors.  Gram assembly of
-    (11,2,1) peaks lower, at about 4d^2 + 18 d _PANEL.  The tableaux and
-    the column group are cached across calls, so they are built first.
-    A float64 copy of the matrix (8d^2, 2.5 MB here) beside those
-    temporaries would exceed the bound."""
+def _rank_call_peak(lam, primes):
+    """The ranks of one gram_ranks_mod_p call, d, and the traced peak of the
+    bytes it holds.  The tableaux and the column group are cached across
+    calls, so they are built first."""
     import tracemalloc
 
-    lam, primes = (11, 2, 1), (5, 7, 11)
     d = len(standard_tableaux(lam))
     gram_mod._column_group(lam)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert gram_ranks_mod_p(lam, primes) == {5: 560, 7: 560, 11: 482}
+        ranks = gram_ranks_mod_p(lam, primes)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    return ranks, d, peak
+
+
+def test_rank_call_holds_one_int32_matrix():
+    """Traced peak of a joint rank call: the d x d int32 matrix (4d^2 bytes)
+    plus at most 20 d _PANEL bytes.  At 5, 7, 11 the panel kernel ranks it:
+    each panel holds the d x _GJ panel in int32 and Q in float32, 2 d _PANEL
+    bytes, the pivot rows in float32, and one Schur block of _PANEL rows at
+    a time: the int32 rows, the float32 product and its int32 cast, then
+    their difference, at most 12 d _PANEL bytes.  Gram assembly of (11,2,1)
+    peaks at about 4d^2 + 16 d _PANEL.  A float64 copy of the matrix (8d^2,
+    2.5 MB here) beside those temporaries would exceed the bound."""
+    ranks, d, peak = _rank_call_peak((11, 2, 1), (5, 7, 11))
+    assert ranks == {5: 560, 7: 560, 11: 482}
+    assert d == 560 and peak <= 4 * d * d + 20 * d * gram_mod._PANEL
+
+
+def test_blocked_rank_call_holds_one_int32_matrix():
+    """The same call at 5, 7, 11, 13: N = 5005 is past the float32 bound and
+    d = 560 past _NARROW, so the blocked kernel ranks it, within 4d^2 plus
+    41 d _PANEL bytes.  Its first panel holds L (d x _PANEL) and U
+    (_PANEL x d) in float64, 16 d _PANEL bytes, and one Schur block of
+    _PANEL rows at a time: the int32 rows and the float64 product, then
+    their float64 difference and its int64 cast, then the cast and the
+    int64 residues, at most 16 d _PANEL bytes.  1 d _PANEL covers the O(d)
+    column vectors."""
+    ranks, d, peak = _rank_call_peak((11, 2, 1), (5, 7, 11, 13))
+    assert ranks == {5: 560, 7: 560, 11: 482, 13: 484}
     assert d == 560 and peak <= 4 * d * d + 41 * d * gram_mod._PANEL
 
 
@@ -1114,6 +1238,40 @@ def test_gram_rank_matches_james_two_part_theorem():
                 assert ranks[p] == oracles.james_two_part_dimension(n, m, p), (n, m, p)
                 records += 1
     assert records == 287
+
+
+def test_gram_rank_against_the_jantzen_schaper_sum():
+    """Every p-regular (lam, p) with 2 <= n <= 10 and p in 2, 3, 5, 7, each
+    shape ranked at its primes in one call: the Jantzen-Schaper sum is empty
+    exactly when the rank is d, and d - sum c_nu dim S^nu never exceeds the
+    rank.  The bound equals the rank in 321 of the 368 cases."""
+    records = exact = 0
+    for n in range(2, 11):
+        for lam in partitions_of(n):
+            primes = [p for p in (2, 3, 5, 7) if max(Counter(lam).values()) < p]
+            ranks = gram_ranks_mod_p(lam, primes)
+            d = specht_dimension(lam)
+            for p in primes:
+                terms = oracles.jantzen_schaper(lam, p)
+                bound = d - sum(c * specht_dimension(nu) for nu, c in terms.items())
+                assert (not terms) == (ranks[p] == d), (lam, p, terms)
+                assert bound <= ranks[p], (lam, p, bound)
+                records += 1
+                exact += bound == ranks[p]
+    assert (records, exact) == (368, 321)
+
+
+def test_jantzen_schaper_examples():
+    """(16,4) at 5 gives 3 705 - 170 = 3 535, the rank that James's two-part
+    theorem gives; (2,1) at 3 has the trivial module as its radical; (4,2,1)
+    at 3 has coefficients all 1 and a bound below its rank."""
+    assert oracles.jantzen_schaper((16, 4), 5) == {(18, 2): 1}
+    assert specht_dimension((16, 4)) - specht_dimension((18, 2)) == 3535
+    assert oracles.james_two_part_dimension(20, 4, 5) == 3535
+    assert oracles.jantzen_schaper((2, 1), 3) == {(3,): 1}
+    assert oracles.jantzen_schaper((4, 2, 1), 3) == {(4, 3): 1, (5, 2): 1}
+    assert gram_rank_mod_p((4, 2, 1), 3) == 20 > 35 - 14 - 14
+    assert oracles.jantzen_schaper((3, 2), 7) == {}
 
 
 # ---------------------------------------------------------------------------
